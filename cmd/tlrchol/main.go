@@ -318,8 +318,18 @@ func main() {
 	if rep.DenseFlops > 0 {
 		effPct = 100 * rep.EffFlops / rep.DenseFlops
 	}
-	fmt.Printf("data sparsity: %d tasks executed, %d trimmed away; effective flops %.3g of dense %.3g (%.1f%%)\n",
-		rep.TasksExecuted, rep.TasksTrimmed, rep.EffFlops, rep.DenseFlops, effPct)
+	// The SVD counters cover compression as well as factorization: a
+	// capped SVD anywhere in the run returned factors short of working
+	// precision.
+	svds := obs.Default.Counter("dense.svd.calls").Value()
+	sweepsPerSVD := 0.0
+	if svds > 0 {
+		sweepsPerSVD = float64(obs.Default.Counter("dense.svd.sweeps").Value()) / float64(svds)
+	}
+	fmt.Printf("data sparsity: %d tasks executed, %d trimmed away; effective flops %.3g of dense %.3g (%.1f%%); recompress calls %d, %.1f sweeps/SVD, capped %d\n",
+		rep.TasksExecuted, rep.TasksTrimmed, rep.EffFlops, rep.DenseFlops, effPct,
+		obs.Default.Counter("tlr.recompress.calls").Value(), sweepsPerSVD,
+		obs.Default.Counter("dense.svd.capped").Value())
 	final := m.Stats()
 	fmt.Printf("final structure: density=%.3f  ranks max/avg/min = %d/%.1f/%d\n",
 		final.Density, final.Max, final.Avg, final.Min)

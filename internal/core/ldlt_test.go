@@ -7,6 +7,7 @@ import (
 
 	"math/rand"
 	"tlrchol/internal/dense"
+	"tlrchol/internal/obs"
 	"tlrchol/internal/rbf"
 	"tlrchol/internal/tilemat"
 	"tlrchol/internal/tlr"
@@ -192,6 +193,34 @@ func TestARACompressedFactorizationMatchesSVD(t *testing.T) {
 	}
 	if eARA > 10*eSVD+10*tol {
 		t.Fatalf("ARA-compressed factorization much worse: %g vs %g", eARA, eSVD)
+	}
+}
+
+// TestFactorizationSVDsConverge: every Jacobi SVD under a Cholesky
+// factorization and under an ARA-compressed LDLᵀ factorization must end
+// on a sweep without rotation. dense.svd.capped counts the ones cut off
+// by the sweep cap instead, as one recompression in five once was.
+func TestFactorizationSVDsConverge(t *testing.T) {
+	const tol = 1e-6
+	calls, capped := obs.Default.Counter("dense.svd.calls"), obs.Default.Counter("dense.svd.capped")
+	calls0, capped0 := calls.Value(), capped.Value()
+
+	m, _ := rbfMatrix(t, 1024, 64, 4, tol)
+	if _, err := Factorize(m, Options{Tol: tol, Workers: 2, Trim: true}); err != nil {
+		t.Fatal(err)
+	}
+	n, b := 508, 64
+	pts := rbf.VirusPopulation(rbf.DefaultVirusConfig(n))[:n]
+	prob, _ := rbf.NewProblem(pts, rbf.Gaussian{Delta: 4 * rbf.DefaultShape(pts), Nugget: 1e-2})
+	aug, _ := tilemat.FromAssemblerComp(prob.AugmentedDim(), b, prob.AugmentedBlock, tol, 0, tlr.ARACompressor{Seed: 3})
+	if _, err := FactorizeLDLt(aug, Options{Tol: tol, Workers: 2, Trim: true}); err != nil {
+		t.Fatal(err)
+	}
+	if calls.Value() == calls0 {
+		t.Fatal("the factorizations ran no SVD")
+	}
+	if n := capped.Value() - capped0; n != 0 {
+		t.Fatalf("%d of %d SVDs ended on the sweep cap", n, calls.Value()-calls0)
 	}
 }
 

@@ -2,8 +2,10 @@
 // the tile low-rank (TLR) Cholesky framework: BLAS-3 style operations
 // (GEMM, SYRK, TRSM, TRMM), LAPACK-style factorizations (POTRF,
 // Householder QR, truncated column-pivoted QR) and a one-sided Jacobi
-// SVD. All routines are written from scratch on top of a simple
-// row-major Matrix type so the framework has no external dependencies.
+// SVD. All routines are written from scratch, so the framework has no
+// external dependencies. Matrix, the type every routine takes and
+// returns, is row-major; QR, QRCP and the SVD, whose inner loops walk
+// columns, work on a column-major copy in workspace scratch.
 //
 // Conventions follow LAPACK: matrices are dense, lower-triangular
 // factorizations store the factor in the lower part, and all kernels

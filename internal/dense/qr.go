@@ -21,76 +21,78 @@ func QRWS(a *Matrix, ws *Workspace) (q, r *Matrix) {
 	if m < n {
 		panic("dense: QR requires rows >= cols")
 	}
-	work := ws.MatrixCopy(a)
+	wt := colMajor(a, ws) // column j is wt[j*m:][:m]
 	taus := ws.Floats(n)
-	// All Householder vectors live in one slab: v_k = vslab[k*m:][:m-k]
-	// with v_k[0] = 1 implicit in the stored 1.
-	vslab := ws.Floats(n * m)
+	vslab := ws.Floats(n * m) // v_k = vslab[k*m:][:m-k]
 	for k := 0; k < n; k++ {
-		// Compute Householder reflector for column k below the diagonal.
-		var norm float64
-		for i := k; i < m; i++ {
-			v := work.At(i, k)
-			norm += v * v
-		}
-		norm = math.Sqrt(norm)
-		alpha := work.At(k, k)
-		if norm == 0 {
-			taus[k] = 0
+		x := wt[k*m+k : k*m+m]
+		v := vslab[k*m : k*m+m-k]
+		beta, tau := house(x, v)
+		taus[k] = tau
+		if tau == 0 {
 			continue
 		}
-		beta := -math.Copysign(norm, alpha)
-		v := vslab[k*m : k*m+m-k]
-		v[0] = 1
-		denom := alpha - beta
-		for i := k + 1; i < m; i++ {
-			v[i-k] = work.At(i, k) / denom
-		}
-		var vnorm2 float64
-		for _, x := range v {
-			vnorm2 += x * x
-		}
-		taus[k] = 2 / vnorm2
-		// Apply (I - tau·v·vᵀ) to the trailing columns of work.
-		for j := k; j < n; j++ {
-			var s float64
-			for i := k; i < m; i++ {
-				s += v[i-k] * work.At(i, j)
-			}
-			s *= taus[k]
-			for i := k; i < m; i++ {
-				work.Set(i, j, work.At(i, j)-s*v[i-k])
-			}
+		x[0] = beta
+		for j := k + 1; j < n; j++ {
+			reflect(tau, v, wt[j*m+k:j*m+m])
 		}
 	}
 	r = ws.Matrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			r.Set(i, j, work.At(i, j))
+	for j := 0; j < n; j++ {
+		for i, x := range wt[j*m : j*m+j+1] {
+			r.Data[i*n+j] = x
 		}
 	}
-	// Form thin Q by applying reflectors to the first n columns of I.
-	q = ws.Matrix(m, n)
-	for i := 0; i < n; i++ {
-		q.Set(i, i, 1)
+	return formQ(m, n, vslab, taus, ws), r
+}
+
+// house builds the Householder reflector H = I − tau·v·vᵀ that maps the
+// column tail x onto (beta, 0, …, 0)ᵀ, writing v (v[0] = 1) into
+// v[:len(x)]. A zero x has no reflector: tau is 0 and v is untouched.
+func house(x, v []float64) (beta, tau float64) {
+	norm := math.Sqrt(dot(x, x))
+	if norm == 0 {
+		return 0, 0
 	}
-	for k := n - 1; k >= 0; k-- {
-		if taus[k] == 0 {
+	beta = -math.Copysign(norm, x[0])
+	denom := x[0] - beta
+	v = v[:len(x)]
+	v[0] = 1
+	for i := 1; i < len(x); i++ {
+		v[i] = x[i] / denom
+	}
+	return beta, 2 / dot(v, v)
+}
+
+// reflect applies I − tau·v·vᵀ to the column tail c.
+func reflect(tau float64, v, c []float64) {
+	axpy(-tau*dot(v, c), v, c)
+}
+
+// formQ returns the thin m×k Q of the k reflectors v_j =
+// vslab[j*m:][:m-j]. Q is accumulated column-major and transposed out
+// once; reflector j leaves the columns before j, still e_i, alone.
+func formQ(m, k int, vslab, taus []float64, ws *Workspace) *Matrix {
+	qt := ws.Floats(k * m)
+	for j := 0; j < k; j++ {
+		qt[j*m+j] = 1
+	}
+	for kk := k - 1; kk >= 0; kk-- {
+		if taus[kk] == 0 {
 			continue
 		}
-		v := vslab[k*m : k*m+m-k]
-		for j := 0; j < n; j++ {
-			var s float64
-			for i := k; i < m; i++ {
-				s += v[i-k] * q.At(i, j)
-			}
-			s *= taus[k]
-			for i := k; i < m; i++ {
-				q.Set(i, j, q.At(i, j)-s*v[i-k])
-			}
+		v := vslab[kk*m : kk*m+m-kk]
+		for j := kk; j < k; j++ {
+			reflect(taus[kk], v, qt[j*m+kk:j*m+m])
 		}
 	}
-	return q, r
+	q := ws.Matrix(m, k)
+	for j := 0; j < k; j++ {
+		for i, x := range qt[j*m : j*m+m] {
+			q.Data[i*k+j] = x
+		}
+	}
+	return q
 }
 
 // QRCPResult is the outcome of a truncated column-pivoted QR: A·P ≈ Q·R
@@ -122,35 +124,28 @@ func QRCP(a *Matrix, tol float64, maxRank int) QRCPResult {
 // — taken from ws; the results are only valid until ws.Release.
 func QRCPWS(a *Matrix, tol float64, maxRank int, ws *Workspace) QRCPResult {
 	m, n := a.Rows, a.Cols
-	work := ws.MatrixCopy(a)
-	kmax := m
-	if n < kmax {
-		kmax = n
-	}
+	kmax := min(m, n)
 	if maxRank > 0 && maxRank < kmax {
 		kmax = maxRank
 	}
+	// Columns never move: pivoting swaps entries of perm, and the column
+	// in position j is the original column perm[j] of the scratch.
+	wt := colMajor(a, ws)
 	perm := ws.Ints(n)
 	for j := range perm {
 		perm[j] = j
 	}
+	tail := func(j, fromRow int) []float64 { return wt[perm[j]*m+fromRow : perm[j]*m+m] }
+	exactNorm2 := func(j, fromRow int) float64 {
+		c := tail(j, fromRow)
+		return dot(c, c)
+	}
 	colNorm2 := ws.Floats(n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < m; i++ {
-			v := work.At(i, j)
-			colNorm2[j] += v * v
-		}
+	for j := range colNorm2 {
+		colNorm2[j] = exactNorm2(j, 0)
 	}
 	taus := ws.Floats(kmax)
 	vslab := ws.Floats(kmax * m) // v_k = vslab[k*m:][:m-k]
-	exactNorm2 := func(j, fromRow int) float64 {
-		var s float64
-		for i := fromRow; i < m; i++ {
-			v := work.At(i, j)
-			s += v * v
-		}
-		return s
-	}
 	k := 0
 	for ; k < kmax; k++ {
 		// Pivot: bring the column with the largest remaining norm to front.
@@ -177,87 +172,31 @@ func QRCPWS(a *Matrix, tol float64, maxRank int, ws *Workspace) QRCPResult {
 		if bestNorm <= tol*tol {
 			break
 		}
-		if best != k {
-			perm[k], perm[best] = perm[best], perm[k]
-			colNorm2[k], colNorm2[best] = colNorm2[best], colNorm2[k]
-			for i := 0; i < m; i++ {
-				wi := work.Data[i*work.Stride:]
-				wi[k], wi[best] = wi[best], wi[k]
-			}
-		}
-		// Householder reflector for column k.
-		var norm float64
-		for i := k; i < m; i++ {
-			v := work.At(i, k)
-			norm += v * v
-		}
-		norm = math.Sqrt(norm)
-		alpha := work.At(k, k)
-		if norm == 0 {
+		perm[k], perm[best] = perm[best], perm[k]
+		colNorm2[k], colNorm2[best] = colNorm2[best], colNorm2[k]
+		x := tail(k, k)
+		v := vslab[k*m : k*m+m-k]
+		beta, tau := house(x, v)
+		if tau == 0 {
 			break
 		}
-		beta := -math.Copysign(norm, alpha)
-		v := vslab[k*m : k*m+m-k]
-		v[0] = 1
-		denom := alpha - beta
-		for i := k + 1; i < m; i++ {
-			v[i-k] = work.At(i, k) / denom
-		}
-		var vnorm2 float64
-		for _, x := range v {
-			vnorm2 += x * x
-		}
-		tau := 2 / vnorm2
 		taus[k] = tau
-		work.Set(k, k, beta)
-		for i := k + 1; i < m; i++ {
-			work.Set(i, k, 0)
-		}
+		x[0] = beta
 		// Apply reflector to trailing columns and downdate column norms.
 		for j := k + 1; j < n; j++ {
-			var s float64
-			s += work.At(k, j) // v[0] == 1
-			for i := k + 1; i < m; i++ {
-				s += v[i-k] * work.At(i, j)
-			}
-			s *= tau
-			work.Set(k, j, work.At(k, j)-s)
-			for i := k + 1; i < m; i++ {
-				work.Set(i, j, work.At(i, j)-s*v[i-k])
-			}
-			top := work.At(k, j)
-			colNorm2[j] -= top * top
-			if colNorm2[j] < 0 {
-				colNorm2[j] = 0
-			}
+			c := tail(j, k)
+			reflect(tau, v, c)
+			colNorm2[j] = max(0, colNorm2[j]-c[0]*c[0])
 		}
 	}
 	rank := k
 	r := ws.Matrix(rank, n)
-	for i := 0; i < rank; i++ {
-		for j := i; j < n; j++ {
-			r.Set(i, j, work.At(i, j))
+	for j := 0; j < n; j++ {
+		for i, x := range tail(j, 0)[:min(j+1, rank)] {
+			r.Data[i*n+j] = x
 		}
 	}
-	q := ws.Matrix(m, rank)
-	for i := 0; i < rank; i++ {
-		q.Set(i, i, 1)
-	}
-	for kk := rank - 1; kk >= 0; kk-- {
-		v := vslab[kk*m : kk*m+m-kk]
-		tau := taus[kk]
-		for j := 0; j < rank; j++ {
-			var s float64
-			for i := kk; i < m; i++ {
-				s += v[i-kk] * q.At(i, j)
-			}
-			s *= tau
-			for i := kk; i < m; i++ {
-				q.Set(i, j, q.At(i, j)-s*v[i-kk])
-			}
-		}
-	}
-	return QRCPResult{Q: q, R: r, Perm: perm, Rank: rank}
+	return QRCPResult{Q: formQ(m, rank, vslab, taus, ws), R: r, Perm: perm, Rank: rank}
 }
 
 // UnpermuteColumns returns R·Pᵀ as a dense matrix: column perm[j] of the

@@ -1,6 +1,36 @@
 package dense
 
-import "math"
+import (
+	"math"
+
+	"tlrchol/internal/obs"
+)
+
+// Jacobi SVD metrics. A call that ends on svdMaxSweeps instead of on a
+// sweep without rotation returns factors that are not orthogonal to
+// working precision; dense.svd.capped makes that visible. Increments
+// shard on the workspace's goroutine-local shard.
+var (
+	mSVDCalls  = obs.Default.Counter("dense.svd.calls")
+	mSVDSweeps = obs.Default.Counter("dense.svd.sweeps")
+	mSVDCapped = obs.Default.Counter("dense.svd.capped")
+)
+
+const (
+	svdMaxSweeps = 60
+	// svdEps is the relative size of a column pair's inner product below
+	// which the pair counts as orthogonal.
+	svdEps = 1e-15
+	// svdNullFloor deflates numerically null columns: a column whose
+	// squared norm is at or below svdNullFloor times the sweep's largest
+	// is left out of every pair. Anything at or below (ε·‖A‖)² is the
+	// rounding noise of the large columns, so the floor only ever drops
+	// directions no caller can tell from zero. Without it an exactly
+	// rank-deficient input never converges: each sweep shrinks its null
+	// columns further until their norm product underflows, and the
+	// relative orthogonality test cannot pass on a zero product.
+	svdNullFloor = 1e-40
+)
 
 // SVDResult holds a (thin) singular value decomposition A = U·diag(S)·Vᵀ
 // with U m×k, S length k (descending), V n×k, for k = min(m,n).
@@ -13,9 +43,11 @@ type SVDResult struct {
 // SVD computes the thin singular value decomposition of a using the
 // one-sided Jacobi method: orthogonalize the columns of A by plane
 // rotations; the resulting column norms are the singular values. The
-// method is slow for large matrices but extremely robust and accurate,
-// and in the TLR framework it is only ever applied to small
-// (rank+rank)² core matrices during recompression.
+// columns are contiguous in column-major scratch, so a pair costs one
+// dot product and, when it rotates, two rotations; numerically null
+// columns are deflated, so rank-deficient input converges like any
+// other. In the TLR framework it is applied to the (rank+rank)² core
+// matrices of recompression and to ARA's sample blocks.
 func SVD(a *Matrix) SVDResult {
 	ws := GetWorkspace()
 	defer ws.Release()
@@ -28,42 +60,48 @@ func SVD(a *Matrix) SVDResult {
 // SVDWS is SVD with all storage — including the returned factors —
 // taken from ws; the results are only valid until ws.Release.
 func SVDWS(a *Matrix, ws *Workspace) SVDResult {
+	// ut holds the columns being orthogonalized as n rows of length m. A
+	// wide a is worked on through its transpose, whose columns are a's
+	// rows, and U and V swap at the end.
 	m, n := a.Rows, a.Cols
-	if m < n {
-		// Work on the transpose and swap U and V at the end.
-		at := ws.Matrix(n, m)
-		for i := 0; i < m; i++ {
-			row := a.Row(i)
-			for j, v := range row {
-				at.Data[j*at.Stride+i] = v
-			}
+	wide := m < n
+	var ut []float64
+	if wide {
+		m, n = n, m
+		ut = ws.MatrixCopy(a).Data
+	} else {
+		ut = colMajor(a, ws)
+	}
+	vt := ws.Floats(n * n) // row j is column j of V
+	for j := 0; j < n; j++ {
+		vt[j*n+j] = 1
+	}
+	norm2 := ws.Floats(n)
+	sweeps, rotated := 0, true
+	for ; rotated && sweeps < svdMaxSweeps; sweeps++ {
+		rotated = false
+		// Squared norms are exact at the start of a sweep and follow each
+		// rotation by its closed-form update.
+		var largest float64
+		for j := 0; j < n; j++ {
+			c := ut[j*m : j*m+m]
+			norm2[j] = dot(c, c)
+			largest = max(largest, norm2[j])
 		}
-		res := SVDWS(at, ws)
-		return SVDResult{U: res.V, S: res.S, V: res.U}
-	}
-	u := ws.MatrixCopy(a)
-	v := ws.Matrix(n, n)
-	for i := 0; i < n; i++ {
-		v.Set(i, i, 1)
-	}
-	const maxSweeps = 60
-	eps := 1e-15
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		off := 0.0
+		floor := svdNullFloor * largest
 		for p := 0; p < n-1; p++ {
+			up := ut[p*m : p*m+m]
 			for q := p + 1; q < n; q++ {
-				var app, aqq, apq float64
-				for i := 0; i < m; i++ {
-					up := u.At(i, p)
-					uq := u.At(i, q)
-					app += up * up
-					aqq += uq * uq
-					apq += up * uq
-				}
-				if math.Abs(apq) <= eps*math.Sqrt(app*aqq) || apq == 0 {
+				app, aqq := norm2[p], norm2[q]
+				if app <= floor || aqq <= floor {
 					continue
 				}
-				off += apq * apq
+				uq := ut[q*m : q*m+m]
+				apq := dot(up, uq)
+				if math.Abs(apq) <= svdEps*math.Sqrt(app*aqq) {
+					continue
+				}
+				rotated = true
 				// Jacobi rotation zeroing the (p,q) entry of AᵀA.
 				tau := (aqq - app) / (2 * apq)
 				var t float64
@@ -74,43 +112,27 @@ func SVDWS(a *Matrix, ws *Workspace) SVDResult {
 				}
 				c := 1 / math.Sqrt(1+t*t)
 				s := c * t
-				for i := 0; i < m; i++ {
-					up := u.At(i, p)
-					uq := u.At(i, q)
-					u.Set(i, p, c*up-s*uq)
-					u.Set(i, q, s*up+c*uq)
-				}
-				for i := 0; i < n; i++ {
-					vp := v.At(i, p)
-					vq := v.At(i, q)
-					v.Set(i, p, c*vp-s*vq)
-					v.Set(i, q, s*vp+c*vq)
-				}
+				rot(c, s, up, uq)
+				rot(c, s, vt[p*n:p*n+n], vt[q*n:q*n+n])
+				norm2[p] = max(0, app-t*apq)
+				norm2[q] = max(0, aqq+t*apq)
 			}
 		}
-		if off == 0 {
-			break
-		}
 	}
-	// Column norms are singular values; normalize U's columns.
+	shard := ws.Shard()
+	mSVDCalls.Add(shard, 1)
+	mSVDSweeps.Add(shard, uint64(sweeps))
+	if rotated {
+		mSVDCapped.Add(shard, 1)
+	}
+	// Column norms are singular values. Sort them descending, permuting U
+	// and V columns alike. Insertion sort keeps this allocation-free; n is
+	// a small core size.
 	s := ws.Floats(n)
 	for j := 0; j < n; j++ {
-		var norm float64
-		for i := 0; i < m; i++ {
-			val := u.At(i, j)
-			norm += val * val
-		}
-		norm = math.Sqrt(norm)
-		s[j] = norm
-		if norm > 0 {
-			inv := 1 / norm
-			for i := 0; i < m; i++ {
-				u.Set(i, j, u.At(i, j)*inv)
-			}
-		}
+		c := ut[j*m : j*m+m]
+		s[j] = math.Sqrt(dot(c, c))
 	}
-	// Sort singular values descending, permuting U and V columns alike.
-	// Insertion sort keeps this allocation-free; n is a small core size.
 	idx := ws.Ints(n)
 	for i := range idx {
 		idx[i] = i
@@ -125,12 +147,19 @@ func SVDWS(a *Matrix, ws *Workspace) SVDResult {
 	ss := ws.Floats(n)
 	for jNew, jOld := range idx {
 		ss[jNew] = s[jOld]
-		for i := 0; i < m; i++ {
-			us.Set(i, jNew, u.At(i, jOld))
+		inv := 1.0 // a zero column stays zero
+		if s[jOld] > 0 {
+			inv = 1 / s[jOld]
 		}
-		for i := 0; i < n; i++ {
-			vs.Set(i, jNew, v.At(i, jOld))
+		for i, v := range ut[jOld*m : jOld*m+m] {
+			us.Data[i*n+jNew] = v * inv
 		}
+		for i, v := range vt[jOld*n : jOld*n+n] {
+			vs.Data[i*n+jNew] = v
+		}
+	}
+	if wide {
+		us, vs = vs, us
 	}
 	return SVDResult{U: us, S: ss, V: vs}
 }

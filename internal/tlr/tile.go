@@ -199,8 +199,9 @@ func CompressWS(a *dense.Matrix, tol float64, maxRank int, ws *dense.Workspace) 
 	u := res.Q.Clone()
 	v := dense.NewMatrix(a.Cols, res.Rank)
 	for j, pj := range res.Perm {
-		for i := 0; i < res.Rank; i++ {
-			v.Set(pj, i, res.R.At(i, j))
+		row := v.Row(pj)
+		for i := range row {
+			row[i] = res.R.At(i, j)
 		}
 	}
 	return NewLowRank(u, v)
@@ -246,21 +247,10 @@ func RecompressWS(u, v *dense.Matrix, tol float64, maxRank int, ws *dense.Worksp
 		return NewZero(u.Rows, v.Rows)
 	}
 	// U = Qu·Us·diag(S), V = Qv·Vs.
-	usS := ws.Matrix(k, newK)
-	for i := 0; i < k; i++ {
-		for j := 0; j < newK; j++ {
-			usS.Set(i, j, svd.U.At(i, j)*svd.S[j])
-		}
-	}
 	newU := dense.NewMatrix(u.Rows, newK)
-	dense.Gemm(dense.NoTrans, dense.NoTrans, 1, qu, usS, 0, newU)
-	vsMat := ws.Matrix(k, newK)
-	for i := 0; i < k; i++ {
-		for j := 0; j < newK; j++ {
-			vsMat.Set(i, j, svd.V.At(i, j))
-		}
-	}
+	dense.Gemm(dense.NoTrans, dense.NoTrans, 1, qu, scaleCols(svd.U, svd.S[:newK], ws), 0, newU)
+	vs := mview(svd.V, 0, 0, k, newK)
 	newV := dense.NewMatrix(v.Rows, newK)
-	dense.Gemm(dense.NoTrans, dense.NoTrans, 1, qv, vsMat, 0, newV)
+	dense.Gemm(dense.NoTrans, dense.NoTrans, 1, qv, &vs, 0, newV)
 	return NewLowRank(newU, newV)
 }

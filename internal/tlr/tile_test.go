@@ -1,11 +1,13 @@
 package tlr
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"tlrchol/internal/dense"
+	"tlrchol/internal/obs"
 )
 
 func TestCompressExactLowRank(t *testing.T) {
@@ -207,5 +209,46 @@ func TestDenseTileRank(t *testing.T) {
 	d2 := NewDense(dense.Random(rng, 9, 6))
 	if d2.Rank() != 6 {
 		t.Fatalf("dense rank is min(rows,cols): %d", d2.Rank())
+	}
+}
+
+// TestRecompressMatchesDenseProduct drives RecompressWS over 200 seeded
+// stacked pairs [U_c | P]·[V_c | Q]ᵀ with graded column weights, a
+// quarter of them with P copied from columns of U_c so the core Ru·Rvᵀ is
+// exactly rank-deficient. The tile must have the rank TruncationRank
+// reads off the singular values of the dense product, reproduce the
+// product within tol, and no SVD on the way may end on its sweep cap.
+func TestRecompressMatchesDenseProduct(t *testing.T) {
+	const b, tol = 48, 1e-6
+	capped := obs.Default.Counter("dense.svd.capped")
+	capped0 := capped.Value()
+	ws := dense.GetWorkspace()
+	defer ws.Release()
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(1000 + seed))
+		kc, kp := 1+rng.Intn(12), 1+rng.Intn(12)
+		u, v := dense.Random(rng, b, kc+kp), dense.Random(rng, b, kc+kp)
+		for j := 0; j < kc+kp; j++ {
+			w := math.Pow(10, -float64(j%kc))
+			for i := 0; i < b; i++ {
+				u.Set(i, j, w*u.At(i, j))
+				if seed%4 == 0 && j >= kc {
+					u.Set(i, j, u.At(i, j%kc))
+				}
+			}
+		}
+		prod := dense.NewMatrix(b, b)
+		dense.Gemm(dense.NoTrans, dense.Trans, 1, u, v, 0, prod)
+		want := dense.TruncationRank(dense.SVD(prod).S, tol)
+		tile := RecompressWS(u, v, tol, 0, ws)
+		if tile.Rank() != want {
+			t.Fatalf("seed %d: rank %d, dense product truncates to %d", seed, tile.Rank(), want)
+		}
+		if d := dense.FrobDiff(tile.ToDense(), prod); d > tol {
+			t.Fatalf("seed %d: ‖tile − u·vᵀ‖ = %g > tol", seed, d)
+		}
+	}
+	if n := capped.Value() - capped0; n != 0 {
+		t.Fatalf("%d SVDs ended on the sweep cap", n)
 	}
 }

@@ -213,6 +213,18 @@ echo "$ldlt_out" | grep -q 'factor error |LDL^T - A|/|A|' || {
 echo "$ldlt_out" | grep -q 'solve residual |Ax - b|/|b|' || {
     echo "check.sh: ldlt run printed no solve residual" >&2; exit 1; }
 
+echo "== recompression kernels gate"
+# The column-major QR, QRCP and Jacobi SVD must agree with the At/Set
+# kernels they replaced (kept as test references), the SVD must converge
+# on rank-deficient cores, and no SVD of a real factorization may end on
+# its sweep cap: the CLI's data-sparsity line reports the count.
+go test -race -run 'TestSVDRankDeficientConverges|MatchesReference' ./internal/dense
+go test -race -run 'TestRecompressMatchesDenseProduct' ./internal/tlr
+kernels_out="$(go run ./cmd/tlrchol -n 2048 -b 128 -verify=false)"
+echo "$kernels_out" | grep -q '^data sparsity: .* capped 0$' || {
+    echo "check.sh: a Jacobi SVD ended on its sweep cap (or the summary lost the count):" >&2
+    echo "$kernels_out" >&2; exit 1; }
+
 echo "== benchmark smoke run (1 iteration per benchmark)"
 go test -run '^$' -bench=. -benchtime=1x . > /dev/null
 
