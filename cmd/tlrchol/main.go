@@ -1,9 +1,9 @@
 // Command tlrchol factorizes a synthetic RBF mesh-deformation operator
 // with the TLR Cholesky framework: it generates the virus-population
-// geometry, Hilbert-orders it, assembles and compresses the kernel
-// matrix tile by tile, runs the (optionally trimmed) factorization on
-// the task runtime, solves a deformation system, and reports the rank
-// statistics, task counts and accuracy.
+// geometry, orders it by KD bisection, assembles and compresses the
+// kernel matrix tile by tile, runs the (optionally trimmed)
+// factorization on the task runtime, solves a deformation system, and
+// reports the rank statistics, task counts and accuracy.
 package main
 
 import (

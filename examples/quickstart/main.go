@@ -21,7 +21,7 @@ func main() {
 	)
 
 	// 1. Geometry: a synthetic population of spiked spheres ("viruses")
-	//    in a cube, Hilbert-ordered for locality.
+	//    in a cube, KD-ordered so each tile row is a compact cluster.
 	pts := rbf.VirusPopulation(rbf.DefaultVirusConfig(n))[:n]
 	kernel := rbf.Gaussian{Delta: 2 * rbf.DefaultShape(pts), Nugget: 100 * tol}
 	prob, _ := rbf.NewProblem(pts, kernel)

@@ -27,13 +27,23 @@ func (g GenStats) SavingsFactor() float64 {
 
 // FromProblem generates the TLR matrix of an RBF problem directly in
 // compressed form: diagonal tiles are assembled dense (they stay
-// dense anyway), off-diagonal tiles are built by ACA so only
-// O((rows+cols)·rank) kernel entries are ever evaluated per tile. This
-// implements the paper's future-work item end to end. maxRank caps
-// stored ranks (≤ 0: unlimited).
+// dense anyway), and off-diagonal tiles between well-separated tile
+// rows are built by ACA so only O((rows+cols)·rank) kernel entries are
+// ever evaluated per tile. This implements the paper's future-work
+// item end to end. maxRank caps stored ranks (≤ 0: unlimited).
+//
+// ACA's convergence theory holds only for admissible blocks: the gap
+// between the two point clusters must be at least the larger cluster
+// diameter. A near-field tile fails that test, and its few strong
+// interactions hide in rows ACA's probes can miss, so it is assembled
+// dense and compressed by SVD instead.
 func FromProblem(p *rbf.Problem, b int, tol float64, maxRank int) (*tilemat.Matrix, GenStats) {
 	n := p.N()
 	m := tilemat.New(n, b)
+	boxes := make([]rbf.Box, m.NT)
+	for i := range boxes {
+		boxes[i] = rbf.Bounds(p.Points[m.RowStart(i) : m.RowStart(i)+m.TileRows(i)])
+	}
 	var gs GenStats
 	for i := 0; i < m.NT; i++ {
 		r0 := m.RowStart(i)
@@ -47,11 +57,18 @@ func FromProblem(p *rbf.Problem, b int, tol float64, maxRank int) (*tilemat.Matr
 				gs.Evaluations += rows * cols
 				continue
 			}
-			tile, st := Approximate(func(li, lj int) float64 {
-				return p.Entry(r0+li, c0+lj)
-			}, rows, cols, tol, maxRank)
+			var tile *tlr.Tile
+			if admissible(boxes[i], boxes[j]) {
+				var st Stats
+				tile, st = Approximate(func(li, lj int) float64 {
+					return p.Entry(r0+li, c0+lj)
+				}, rows, cols, tol, maxRank)
+				gs.Evaluations += st.Evaluations
+			} else {
+				tile = tlr.Compress(p.Block(r0, r0+rows, c0, c0+cols), tol, maxRank)
+				gs.Evaluations += rows * cols
+			}
 			m.Set(i, j, tile)
-			gs.Evaluations += st.Evaluations
 			if tile.Kind == tlr.Zero {
 				gs.ZeroTiles++
 			} else {
@@ -60,4 +77,10 @@ func FromProblem(p *rbf.Problem, b int, tol float64, maxRank int) (*tilemat.Matr
 		}
 	}
 	return m, gs
+}
+
+// admissible reports whether two point clusters are far enough apart
+// for ACA: their gap is at least the larger diameter.
+func admissible(a, b rbf.Box) bool {
+	return a.Gap(b) >= max(a.Diameter(), b.Diameter())
 }

@@ -13,14 +13,19 @@ func TestFig01ShapeClaims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Shapes) != 2 {
-		t.Fatalf("expected two shape parameters")
+	if len(r.Shapes) != 4 {
+		t.Fatalf("expected two shape parameters under each of two orderings")
 	}
-	small, large := r.Shapes[0], r.Shapes[1]
-	// Larger shape parameter → denser compressed matrix.
-	if large.Initial.Density < small.Initial.Density {
-		t.Fatalf("density must grow with the shape parameter: %g vs %g",
-			small.Initial.Density, large.Initial.Density)
+	for o := 0; o < 4; o += 2 {
+		small, large := r.Shapes[o], r.Shapes[o+1]
+		// Larger shape parameter → denser compressed matrix.
+		if small.Order != large.Order || large.Initial.Density < small.Initial.Density {
+			t.Fatalf("%s order: density must grow with the shape parameter: %g vs %g",
+				small.Order, small.Initial.Density, large.Initial.Density)
+		}
+	}
+	if r.Shapes[0].Order != "hilbert" || r.Shapes[2].Order != "kd" {
+		t.Fatalf("orderings reported as %q and %q", r.Shapes[0].Order, r.Shapes[2].Order)
 	}
 	for _, s := range r.Shapes {
 		// Fill-in: final density ≥ initial density.
@@ -34,6 +39,7 @@ func TestFig01ShapeClaims(t *testing.T) {
 			t.Fatalf("no compressed ranks recorded")
 		}
 	}
+	small := r.Shapes[0]
 	hm := Heatmap(small.InitialRanks)
 	if !strings.Contains(hm, "D") || !strings.Contains(hm, ".") {
 		t.Fatalf("heatmap should show dense diagonal and null tiles:\n%s", hm)

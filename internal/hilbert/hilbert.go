@@ -1,5 +1,6 @@
-// Package hilbert implements a 3D Hilbert space-filling curve used to
-// reorder unstructured mesh points before matrix assembly. Hilbert
+// Package hilbert implements a 3D Hilbert space-filling curve, the
+// paper's reordering of unstructured mesh points before matrix assembly
+// (rbf.HilbertSort; the library itself orders by KD bisection). Hilbert
 // ordering preserves spatial locality: points close in 3D stay close in
 // the 1D ordering, which clusters strong kernel interactions near the
 // matrix diagonal, improving the compression rate and reducing the

@@ -3,8 +3,9 @@
 // with a Gaussian kernel (Section IV-C). It provides synthetic
 // "virus population" geometries standing in for the SARS-CoV-2 surface
 // meshes extracted from PDB 6VXX (which are not redistributable),
-// Hilbert-curve point reordering, kernel-matrix assembly (full or per
-// tile), and the RBF interpolation used to propagate boundary
+// point reordering (KD bisection aligned to tiles in NewProblem; the
+// paper's Hilbert curve in HilbertSort), kernel-matrix assembly (full or
+// per tile), and the RBF interpolation used to propagate boundary
 // displacements into a volume mesh.
 package rbf
 
@@ -118,21 +119,15 @@ func spikedSphere(rng *rand.Rand, center Point, radius float64, n int, spikeFrac
 // their bounding box, returning the permutation applied (perm[i] is the
 // original index of the point now at position i). This is the mesh
 // reordering of Section IV-C that concentrates strong interactions near
-// the matrix diagonal.
+// the matrix diagonal; NewProblem orders by KD bisection instead, and
+// this stays for comparison with the paper.
 func HilbertSort(pts []Point) []int {
 	const bits = 16
 	if len(pts) == 0 {
 		return nil
 	}
-	minP, maxP := pts[0], pts[0]
-	for _, p := range pts {
-		minP.X = math.Min(minP.X, p.X)
-		minP.Y = math.Min(minP.Y, p.Y)
-		minP.Z = math.Min(minP.Z, p.Z)
-		maxP.X = math.Max(maxP.X, p.X)
-		maxP.Y = math.Max(maxP.Y, p.Y)
-		maxP.Z = math.Max(maxP.Z, p.Z)
-	}
+	box := Bounds(pts)
+	minP, maxP := box.Min, box.Max
 	scale := func(v, lo, hi float64) uint32 {
 		if hi <= lo {
 			return 0
@@ -175,15 +170,8 @@ func MinDistance(pts []Point) float64 {
 	if n < 2 {
 		return 0
 	}
-	minP, maxP := pts[0], pts[0]
-	for _, p := range pts {
-		minP.X = math.Min(minP.X, p.X)
-		minP.Y = math.Min(minP.Y, p.Y)
-		minP.Z = math.Min(minP.Z, p.Z)
-		maxP.X = math.Max(maxP.X, p.X)
-		maxP.Y = math.Max(maxP.Y, p.Y)
-		maxP.Z = math.Max(maxP.Z, p.Z)
-	}
+	box := Bounds(pts)
+	minP, maxP := box.Min, box.Max
 	// Pick a grid with about n cells.
 	cells := int(math.Cbrt(float64(n)))
 	if cells < 1 {

@@ -79,10 +79,15 @@ type Problem struct {
 	Kernel Kernel
 }
 
-// NewProblem Hilbert-orders the points and builds the problem. The
-// returned permutation maps sorted positions to original indices.
+// NewProblem reorders the points in place by KD bisection and builds
+// the problem. The returned permutation maps sorted positions to
+// original indices. Every power-of-two-aligned run of positions is one
+// KD cell, so at a power-of-two tile size each tile row is a compact
+// cluster, which gives more null tiles and fewer coupled ones than the
+// paper's Hilbert order (HilbertSort). At other tile sizes a tile row
+// straddles two cells and can couple more tiles than under Hilbert.
 func NewProblem(pts []Point, kernel Kernel) (*Problem, []int) {
-	perm := HilbertSort(pts)
+	perm := kdSort(pts)
 	return &Problem{Points: pts, Kernel: kernel}, perm
 }
 

@@ -148,8 +148,8 @@ func (sp ProblemSpec) points() []rbf.Point {
 	return rbf.VirusPopulation(cfg)[:sp.N]
 }
 
-// problem builds the Hilbert-ordered RBF problem for the spec's
-// geometry and kernel.
+// problem builds the RBF problem for the spec's geometry and kernel,
+// with the points in rbf.NewProblem's KD order.
 func (sp ProblemSpec) problem(pts []rbf.Point) (*rbf.Problem, float64) {
 	delta := sp.DeltaFactor * rbf.DefaultShape(pts)
 	var kernel rbf.Kernel

@@ -59,11 +59,17 @@ go run ./cmd/lint -json ./... > "$lint_json" || {
 }
 tmp_files+=("$lint_json")
 
-echo "== race-detector tests (runtime, verify, obs, cluster, core, serve, analysis)"
+echo "== race-detector tests (runtime, verify, obs, cluster, core, serve, analysis, rbf, aca)"
 # internal/analysis is in the race list for self-hosting: the lint
 # driver runs analyzers concurrently per package, so its own tests must
 # hold up under the detector just like the code it audits.
-go test -race ./internal/runtime ./internal/verify ./internal/obs ./internal/cluster ./internal/core ./internal/serve ./internal/analysis
+go test -race ./internal/runtime ./internal/verify ./internal/obs ./internal/cluster ./internal/core ./internal/serve ./internal/analysis ./internal/rbf ./internal/aca
+
+echo "== point-ordering fuzz smoke"
+# The KD ordering behind rbf.NewProblem must keep its contract (a
+# permutation, deterministic, every aligned power-of-two block one KD
+# cell) on arbitrary finite point sets. Runs in the foreground.
+go test -run '^$' -fuzz FuzzKDOrder -fuzztime 10s ./internal/rbf
 
 echo "== full test suite"
 go test ./...
