@@ -169,9 +169,7 @@ type modelRankArray struct{ m ranks.Model }
 func (r modelRankArray) NT() int           { return r.m.NTiles }
 func (r modelRankArray) Rank(m, n int) int { return r.m.Rank(m, n) }
 
-// Kernel-level benchmarks: the real numerical workhorses. These are the
-// benchmarks scripts/bench.sh snapshots into BENCH_<stamp>.json; keep the
-// names stable so cmd/benchreport can compare across snapshots.
+// Kernel-level benchmarks: the real numerical workhorses.
 
 func benchTiles(b *testing.B, size, rank int) (*tlr.Tile, *tlr.Tile, *tlr.Tile) {
 	rng := rand.New(rand.NewSource(1))
@@ -237,8 +235,7 @@ func BenchmarkRecompress(b *testing.B) {
 }
 
 // BenchmarkFactorizeRBF is the end-to-end Fig04-scale factorization:
-// N=1024 points, tile size 128, trimming on — the wall-clock headline
-// the perf-regression harness tracks.
+// N=1024 points, tile size 128, trimming on — the wall-clock headline.
 func BenchmarkFactorizeRBF(b *testing.B) {
 	pts := rbf.VirusPopulation(rbf.DefaultVirusConfig(1024))[:1024]
 	prob, _ := rbf.NewProblem(pts, rbf.Gaussian{Delta: 2 * rbf.DefaultShape(pts), Nugget: 1e-4})

@@ -213,7 +213,7 @@ func main() {
 		if ldlt {
 			form = tilemat.FormLDLt
 		}
-		g := core.BuildGraph(m, s, core.Options{Tol: *tol, NestedDiag: *nested}, form)
+		g, _ := core.BuildGraph(m, s, core.Options{Tol: *tol, NestedDiag: *nested}, form)
 		fs = append(fs, sverify.CheckGraph(g)...)
 		for _, f := range fs {
 			fmt.Fprintf(os.Stderr, "static check: %v\n", f)

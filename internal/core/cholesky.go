@@ -17,6 +17,7 @@ import (
 	"strings"
 	"time"
 
+	"tlrchol/internal/dense"
 	"tlrchol/internal/obs"
 	"tlrchol/internal/runtime"
 	"tlrchol/internal/tilemat"
@@ -188,8 +189,8 @@ func factorizeShared(m *tilemat.Matrix, opts Options, form tilemat.Form) (Report
 		if opts.Sequential {
 			return sequential(opts.Context, m, s, newFactorization(form, opts.Tol, opts.MaxRank, opts.Metrics))
 		}
-		g := BuildGraph(m, s, opts, form)
-		st, err := g.Run(opts.Workers)
+		g, exec := BuildGraph(m, s, opts, form)
+		st, err := g.Run(opts.Context, opts.Workers, exec)
 		rep.Runtime, rep.TasksExecuted = st, st.Executed
 		if opts.CollectTrace {
 			rep.Trace = g.Trace()
@@ -272,54 +273,62 @@ func sequential(ctx context.Context, m *tilemat.Matrix, s trim.Structure, f fact
 
 // BuildGraph unrolls the factorization of the given form into the task
 // runtime without running it: one task per walk task, wired to the
-// walk's predecessors, at its critical-path-first priority. With
-// NestedDiag > 0 a Cholesky diagonal tile of at least twice that size
-// becomes a nested sub-DAG (addNestedPotrf) instead of one task.
-// Besides the wired edges every task declares its tile accesses, so the
-// static verifier (package verify) can independently replay the access
-// stream and prove the edges cover every RAW/WAR/WAW hazard.
-func BuildGraph(m *tilemat.Matrix, s trim.Structure, opts Options, form tilemat.Form) *runtime.Graph {
-	g := runtime.NewGraph()
+// walk's predecessors, at its critical-path-first priority, and the
+// Exec that runs them on m. With NestedDiag > 0 a Cholesky diagonal
+// tile of at least twice that size becomes a nested sub-DAG
+// (addNestedPotrf) instead of one task. Besides the wired edges every
+// task declares its tile accesses, so the static verifier (package
+// verify) can independently replay the access stream and prove the
+// edges cover every RAW/WAR/WAW hazard.
+func BuildGraph(m *tilemat.Matrix, s trim.Structure, opts Options, form tilemat.Form) (*runtime.Graph, runtime.Exec) {
+	g := &runtime.Graph{}
 	g.Observe(opts.Tracer)
-	traced := opts.Tracer != nil
 	f := newFactorization(form, opts.Tol, opts.MaxRank, opts.Metrics)
-	var tasks []*runtime.Task
+	var nodes []node
+	var ids []int32 // walk index → graph id (a nested POTRF's join)
 	trim.Walk(s, func(t trim.Task) {
-		var task *runtime.Task
 		if t.Class == trim.Diag && form == tilemat.FormCholesky && opts.NestedDiag > 0 && m.TileRows(t.K) >= 2*opts.NestedDiag {
-			var pred *runtime.Task
+			pred := int32(-1)
 			if p := t.Preds[0]; p >= 0 {
-				pred = tasks[p]
+				pred = ids[p]
 			}
-			task = addNestedPotrf(g, m.At(t.K, t.K).D, opts.NestedDiag, pred, t.Prio, f.label(t))
+			ids = append(ids, addNestedPotrf(g, &nodes, t, m.TileRows(t.K), opts.NestedDiag, pred))
 			// The sub-tasks carry their own spans; the tile-level flop
 			// accounting is recorded here, statically — a dense POTRF's
 			// cost does not depend on runtime state.
 			f.in.diag(f.class[trim.Diag], 0, m.TileRows(t.K), nil)
-		} else {
-			task = g.NewTask(f.label(t), t.Prio, nil)
-			task.Info = spanInfo(traced, t.K, t.M, t.N)
-			task.Run = func() error {
-				// Cooperative cancellation: a cancelled context fails the
-				// task, and the runtime's abort protocol drains the rest of
-				// the DAG without starting it.
-				if opts.Context != nil {
-					if err := opts.Context.Err(); err != nil {
-						return err
-					}
-				}
-				return f.run(t, m, task.Worker(), task.Info)
-			}
-			for _, p := range t.Preds {
-				if p >= 0 {
-					g.AddDep(tasks[p], task)
-				}
+			return
+		}
+		id := g.Add(t.Prio)
+		nodes = append(nodes, node{t: t})
+		for _, p := range t.Preds {
+			if p >= 0 {
+				g.Dep(ids[p], id)
 			}
 		}
-		// A nested POTRF's join task stands in as the writer of the
-		// diagonal tile for hazard-replay purposes.
-		task.DeclareAccesses(f.accesses(t)...)
-		tasks = append(tasks, task)
+		ids = append(ids, id)
 	})
-	return g
+	if opts.Tracer != nil {
+		g.Info = make([]*obs.SpanInfo, len(nodes))
+		for id, nd := range nodes {
+			if nd.kind == walkTask {
+				g.Info[id] = spanInfo(true, nd.t.K, nd.t.M, nd.t.N)
+			}
+		}
+	}
+	g.LabelFunc = func(id int) string { return nodes[id].label(f) }
+	g.AccessFunc = func(id int) []runtime.Access { return nodes[id].accesses(f) }
+	return g, func(id, worker int, _ *dense.Workspace) error {
+		switch nd := &nodes[id]; nd.kind {
+		case subTask:
+			return nd.runNested(m.At(nd.t.K, nd.t.K).D, opts.NestedDiag)
+		case walkTask:
+			var info *obs.SpanInfo
+			if g.Info != nil {
+				info = g.Info[id]
+			}
+			return f.run(nd.t, m, worker, info)
+		}
+		return nil // a nested POTRF's join
+	}
 }

@@ -156,7 +156,8 @@ func (in *instr) update(c, shard, ka, kb, kc int, out *tlr.Tile, info *obs.SpanI
 
 // spanInfo allocates a task's span annotation, pre-filled with the tile
 // coordinates, only when a tracer is observing the run — the untraced
-// path keeps Task.Info nil and allocation-free.
+// path keeps runtime.Graph.Info and cluster.Task.Info nil and
+// allocation-free.
 func spanInfo(traced bool, k, m, n int) *obs.SpanInfo {
 	if !traced {
 		return nil

@@ -1,17 +1,16 @@
 package core
 
 import (
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
-
 	"context"
+	"fmt"
+	goruntime "runtime"
+	"sync"
+	"time"
 
 	"tlrchol/internal/dense"
 	"tlrchol/internal/flops"
 	"tlrchol/internal/obs"
+	"tlrchol/internal/runtime"
 	"tlrchol/internal/tilemat"
 	"tlrchol/internal/tlr"
 )
@@ -55,32 +54,25 @@ type solveTask struct {
 	dst, src int32
 }
 
-// sweepPlan is the precomputed DAG of one substitution direction in
-// flat CSR-style storage: cheap to build, compact to cache, and free of
-// per-task allocation during execution.
+// sweepPlan is the precomputed DAG of one substitution direction: the
+// runtime graph (int32 CSR, cheap to build, compact to cache, free of
+// per-task allocation during execution) plus what the task bodies and
+// the observability hooks need per task.
 type sweepPlan struct {
+	g     *runtime.Graph
 	tasks []solveTask
-	// ndeps is the static in-degree of each task; executions count a
-	// private copy down to zero.
-	ndeps []int32
-	// succs/succOff is the CSR adjacency of released tasks.
-	succs   []int32
-	succOff []int32
-	// prio is the rank-weighted critical-path-to-sink length (flops per
-	// column, from internal/flops): the ready heap pops the task with
-	// the longest remaining chain first, keeping the diagonal spine —
-	// the latency bottleneck — moving.
-	prio []int64
-	// cost is each task's own per-column flop weight, kept for the
-	// per-task span annotations of request-scoped tracing.
+	// cost is each task's own per-column flop weight (from
+	// internal/flops). The graph's priorities are the rank-weighted
+	// critical-path-to-sink lengths built from it: the ready heap pops
+	// the task with the longest remaining chain first, keeping the
+	// diagonal spine — the latency bottleneck — moving. cost also feeds
+	// the per-task span annotations of request-scoped tracing.
 	cost []float64
 	// level is each task's depth in the DAG; levels/maxWidth summarize
 	// the level sets for sizing and observability.
 	level    []int32
 	levels   int
 	maxWidth int
-	// roots are the tasks ready at sweep start, ascending id.
-	roots []int32
 }
 
 // buildSweep scans the factor's tile kinds and assembles one sweep DAG.
@@ -88,7 +80,7 @@ type sweepPlan struct {
 // is a topological order of the dependence relation by construction.
 func buildSweep(f *tilemat.Matrix, backward bool) sweepPlan {
 	nt := f.NT
-	var p sweepPlan
+	p := sweepPlan{g: &runtime.Graph{}}
 
 	// Pass 1: count tasks to size the flat arrays. Each sweep runs one
 	// apply per non-zero strictly-lower tile plus one diagonal solve
@@ -104,99 +96,75 @@ func buildSweep(f *tilemat.Matrix, backward bool) sweepPlan {
 	p.tasks = make([]solveTask, 0, total)
 	p.cost = make([]float64, 0, total)
 
-	// Pass 2: emit tasks in sequential order and record dependencies.
-	// preds is small (≤ 2 per task): the reader dependency on the
+	// Pass 2: emit tasks in sequential order and wire their
+	// dependencies (≤ 2 per task): the reader dependency on the
 	// partner's diagonal solve, and the same-row in-order chain.
-	trsmID := make([]int32, nt)
-	type edge struct{ from, to int32 }
-	edges := make([]edge, 0, 2*total)
-	partners := make([]int32, 0, nt)
-	rowAt := func(r int) int {
-		if backward {
-			return nt - 1 - r
-		}
-		return r
+	g := p.g
+	add := func(t solveTask, cost float64) int32 {
+		p.tasks = append(p.tasks, t)
+		p.cost = append(p.cost, cost)
+		return g.Add(0)
 	}
+	trsmID := make([]int32, nt)
+	partners := make([]int32, 0, nt)
 	for r := 0; r < nt; r++ {
-		i := rowAt(r)
+		i := r
+		if backward {
+			i = nt - 1 - r
+		}
 		partners = sweepPartners(f, i, backward, partners[:0])
 		prev := int32(-1)
 		for _, pr := range partners {
-			id := int32(len(p.tasks))
-			p.tasks = append(p.tasks, solveTask{dst: int32(i), src: pr})
-			p.cost = append(p.cost, applyCost(f, i, int(pr), backward))
-			edges = append(edges, edge{from: trsmID[pr], to: id})
+			id := add(solveTask{dst: int32(i), src: pr}, applyCost(f, i, int(pr), backward))
+			g.Dep(trsmID[pr], id)
 			if prev >= 0 {
-				edges = append(edges, edge{from: prev, to: id})
+				g.Dep(prev, id)
 			}
 			prev = id
 		}
-		id := int32(len(p.tasks))
-		p.tasks = append(p.tasks, solveTask{dst: int32(i), src: int32(i)})
-		p.cost = append(p.cost, flops.SolveTrsm(f.TileRows(i)))
+		id := add(solveTask{dst: int32(i), src: int32(i)}, flops.SolveTrsm(f.TileRows(i)))
 		if prev >= 0 {
-			edges = append(edges, edge{from: prev, to: id})
+			g.Dep(prev, id)
 		}
 		trsmID[i] = id
 	}
 
-	n := len(p.tasks)
-	p.ndeps = make([]int32, n)
-	p.succOff = make([]int32, n+1)
-	for _, e := range edges {
-		p.ndeps[e.to]++
-		p.succOff[e.from+1]++
-	}
-	for t := 0; t < n; t++ {
-		p.succOff[t+1] += p.succOff[t]
-	}
-	p.succs = make([]int32, len(edges))
-	fill := make([]int32, n)
-	for _, e := range edges {
-		p.succs[p.succOff[e.from]+fill[e.from]] = e.to
-		fill[e.from]++
-	}
-
 	// Critical-path priorities, computed in reverse topological (= id)
 	// order so every successor is already final.
-	p.prio = make([]int64, n)
+	n := len(p.tasks)
 	for t := n - 1; t >= 0; t-- {
 		var best int64
-		for s := p.succOff[t]; s < p.succOff[t+1]; s++ {
-			if v := p.prio[p.succs[s]]; v > best {
-				best = v
-			}
+		for _, s := range g.Successors(t) {
+			best = max(best, g.Priority(int(s)))
 		}
-		p.prio[t] = best + int64(p.cost[t])
+		g.SetPriority(t, best+int64(p.cost[t]))
 	}
 
 	// Level sets: depth propagates forward along ascending ids.
 	p.level = make([]int32, n)
 	for t := 0; t < n; t++ {
-		lv := p.level[t] + 1
-		for s := p.succOff[t]; s < p.succOff[t+1]; s++ {
-			if lv > p.level[p.succs[s]] {
-				p.level[p.succs[s]] = lv
-			}
+		for _, s := range g.Successors(t) {
+			p.level[s] = max(p.level[s], p.level[t]+1)
 		}
-	}
-	for t := 0; t < n; t++ {
-		if int(p.level[t]) >= p.levels {
-			p.levels = int(p.level[t]) + 1
-		}
-		if p.ndeps[t] == 0 {
-			p.roots = append(p.roots, int32(t))
-		}
+		p.levels = max(p.levels, int(p.level[t])+1)
 	}
 	width := make([]int32, p.levels)
 	for t := 0; t < n; t++ {
 		width[p.level[t]]++
 	}
 	for _, w := range width {
-		if int(w) > p.maxWidth {
-			p.maxWidth = int(w)
-		}
+		p.maxWidth = max(p.maxWidth, int(w))
 		solveLevelWidth.Observe(0, float64(w))
+	}
+	g.LabelFunc = func(id int) string {
+		dir, t := "fwd", p.tasks[id]
+		if backward {
+			dir = "bwd"
+		}
+		if t.src == t.dst {
+			return fmt.Sprintf("%s.trsm(%d)", dir, t.dst)
+		}
+		return fmt.Sprintf("%s.apply(%d,%d)", dir, t.dst, t.src)
 	}
 	return p
 }
@@ -275,8 +243,7 @@ func (p *SolvePlan) Bytes() int64 {
 }
 
 func (s *sweepPlan) bytes() int64 {
-	return int64(8*len(s.tasks) + 4*len(s.ndeps) + 4*len(s.succs) +
-		4*len(s.succOff) + 8*len(s.prio) + 8*len(s.cost) + 4*len(s.level) + 4*len(s.roots))
+	return int64(8*len(s.tasks)+8*len(s.cost)+4*len(s.level)) + s.g.Bytes()
 }
 
 // Tasks returns the total task count across both sweeps.
@@ -287,12 +254,7 @@ func (p *SolvePlan) Levels() (fwd, bwd int) { return p.fwd.levels, p.bwd.levels 
 
 // MaxWidth returns the widest level set across both sweeps — the upper
 // bound on useful executor parallelism.
-func (p *SolvePlan) MaxWidth() int {
-	if p.fwd.maxWidth > p.bwd.maxWidth {
-		return p.fwd.maxWidth
-	}
-	return p.bwd.maxWidth
-}
+func (p *SolvePlan) MaxWidth() int { return max(p.fwd.maxWidth, p.bwd.maxWidth) }
 
 // SolveCtx overwrites b (N×nrhs) with the solution of A·x = b by
 // running both substitution sweeps through the plan's worker-pool
@@ -313,7 +275,7 @@ func (p *SolvePlan) SolveCtx(ctx context.Context, f *tilemat.Matrix, b *dense.Ma
 		panic("core: Solve right-hand side dimension mismatch")
 	}
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		workers = goruntime.GOMAXPROCS(0)
 	}
 	if w := p.MaxWidth(); workers > w {
 		workers = w
@@ -331,64 +293,42 @@ func (p *SolvePlan) SolveCtx(ctx context.Context, f *tilemat.Matrix, b *dense.Ma
 	return runSweep(ctx, &p.bwd, f, b, true, workers)
 }
 
-// solveRun is the pooled mutable state of one sweep execution. The
-// sync.Pool keeps warm planned solves allocation-free: the dependency
-// counters, ready heap and segment table are reused at their high-water
-// capacity, and workers are plain method goroutines (no closures).
-type solveRun struct {
-	mu   sync.Mutex
-	cond sync.Cond
-	wg   sync.WaitGroup
-
+// sweepRun is what one sweep execution's task bodies read. It is
+// pooled, and binds its exec method value once per pooled object, so a
+// warm planned solve allocates nothing.
+type sweepRun struct {
 	plan  *sweepPlan
 	f     *tilemat.Matrix
-	ctx   context.Context
 	tr    *obs.Tracer
 	rt    *obs.ReqTrace
 	trans bool
 	ldlt  bool
-
 	// segs holds one view header per tile row of b. Segment i is
 	// written only by tasks with dst == i, which the plan serializes.
 	segs []dense.Matrix
-	// deps is the countdown copy of the plan's in-degrees, decremented
-	// with atomics off the lock.
-	deps []int32
-	// heap is the ready max-heap ordered by plan priority (ties to the
-	// lower id, the sequential order); guarded by mu.
-	heap    []int32
-	pending int
-	err     error
-
-	// spawn caches one zero-argument closure per worker index. A
-	// `go fn()` on a stored func value starts the goroutine without any
-	// allocation, whereas `go r.work(w)` would heap-allocate a wrapper
-	// for the arguments on every sweep. Closures are built once per
-	// pooled run object at the worker-count high-water mark.
-	spawn []func()
+	fn   runtime.Exec
 }
 
-var solveRunPool = sync.Pool{New: func() any {
-	r := &solveRun{}
-	r.cond.L = &r.mu
+var sweepRunPool = sync.Pool{New: func() any {
+	r := &sweepRun{}
+	r.fn = r.exec
 	return r
 }}
 
-// runSweep executes one substitution direction. The calling goroutine
-// works alongside workers−1 spawned ones; all of them drain on error
-// or cancellation before the call returns (no goroutine outlives it).
+// runSweep executes one substitution direction on the task runtime.
+// The calling goroutine works alongside workers−1 spawned ones; all of
+// them drain on error or cancellation before the call returns (no
+// goroutine outlives it).
 func runSweep(ctx context.Context, sp *sweepPlan, f *tilemat.Matrix, b *dense.Matrix, trans bool, workers int) error {
-	r := solveRunPool.Get().(*solveRun)
+	r := sweepRunPool.Get().(*sweepRun)
 	// Drop references before pooling so the run state cannot retain the
 	// factor or right-hand sides across requests.
 	defer func() {
-		for i := range r.segs {
-			r.segs[i] = dense.Matrix{}
-		}
-		r.plan, r.f, r.ctx, r.tr, r.rt, r.err = nil, nil, nil, nil, nil, nil
-		solveRunPool.Put(r)
+		clear(r.segs)
+		r.plan, r.f, r.tr, r.rt = nil, nil, nil, nil
+		sweepRunPool.Put(r)
 	}()
-	r.plan, r.f, r.ctx, r.trans = sp, f, ctx, trans
+	r.plan, r.f, r.trans = sp, f, trans
 	r.ldlt = f.Form == tilemat.FormLDLt
 	r.tr = obs.Active()
 	// Request-scoped span detail: only attach the trace when its span
@@ -397,7 +337,6 @@ func runSweep(ctx context.Context, sp *sweepPlan, f *tilemat.Matrix, b *dense.Ma
 	if rt := obs.TraceFrom(ctx); rt.Detailed() {
 		r.rt = rt
 	}
-
 	nt := f.NT
 	if cap(r.segs) < nt {
 		r.segs = make([]dense.Matrix, nt)
@@ -406,100 +345,14 @@ func runSweep(ctx context.Context, sp *sweepPlan, f *tilemat.Matrix, b *dense.Ma
 	for i := 0; i < nt; i++ {
 		r.segs[i] = b.RowBlock(f.RowStart(i), f.TileRows(i))
 	}
-	n := len(sp.tasks)
-	if cap(r.deps) < n {
-		r.deps = make([]int32, n)
-	}
-	r.deps = r.deps[:n]
-	copy(r.deps, sp.ndeps)
-	r.heap = r.heap[:0]
-	for _, t := range sp.roots {
-		r.pushLocked(t) // no workers yet: the lock is not needed
-	}
-	r.pending = n
-	r.err = nil
-
-	for len(r.spawn) < workers {
-		r.spawn = append(r.spawn, r.spawnFn(len(r.spawn)))
-	}
-	r.wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go r.spawn[w]()
-	}
-	r.work(0)
-	r.wg.Wait()
-	return r.err
-}
-
-// spawnFn builds the cached worker closure for one lane.
-func (r *solveRun) spawnFn(id int) func() {
-	return func() {
-		defer r.wg.Done()
-		r.work(id)
-	}
-}
-
-// work is the executor loop: pop the highest-priority ready task,
-// execute it, release successors whose dependency count hits zero.
-// Exits when the sweep completes or r.err is set (cancellation or a
-// sibling's failure) — in-flight tasks finish, waiting workers wake
-// via the broadcast, nothing is leaked.
-func (r *solveRun) work(id int) {
-	ws := dense.GetWorkspace()
-	defer ws.Release()
-	for {
-		r.mu.Lock()
-		for len(r.heap) == 0 && r.pending > 0 && r.err == nil {
-			r.cond.Wait()
-		}
-		if r.err != nil || len(r.heap) == 0 {
-			r.mu.Unlock()
-			return
-		}
-		t := r.popLocked()
-		r.mu.Unlock()
-
-		if err := r.ctx.Err(); err != nil {
-			r.fail(err)
-			return
-		}
-		r.exec(t, id, ws)
-
-		sp := r.plan
-		for s := sp.succOff[t]; s < sp.succOff[t+1]; s++ {
-			succ := sp.succs[s]
-			if atomic.AddInt32(&r.deps[succ], -1) == 0 {
-				r.mu.Lock()
-				r.pushLocked(succ)
-				r.mu.Unlock()
-				r.cond.Signal()
-			}
-		}
-		r.mu.Lock()
-		r.pending--
-		done := r.pending == 0
-		r.mu.Unlock()
-		if done {
-			r.cond.Broadcast()
-		}
-	}
-}
-
-// fail records the first error and wakes every waiting worker so the
-// pool drains.
-func (r *solveRun) fail(err error) {
-	r.mu.Lock()
-	if r.err == nil {
-		r.err = err
-	}
-	r.mu.Unlock()
-	r.cond.Broadcast()
+	_, err := sp.g.Run(ctx, workers, r.fn)
+	return err
 }
 
 // exec runs one task through the same kernels, operand order and
 // workspace discipline as the sequential loop.
-func (r *solveRun) exec(t int32, id int, ws *dense.Workspace) {
-	task := r.plan.tasks[t]
+func (r *sweepRun) exec(id, worker int, ws *dense.Workspace) error {
+	task := r.plan.tasks[id]
 	var tstart time.Duration
 	if r.rt != nil {
 		tstart = r.rt.Now()
@@ -519,7 +372,7 @@ func (r *solveRun) exec(t int32, id int, ws *dense.Workspace) {
 	if r.tr != nil {
 		// Level occupancy: one instant per task on the worker's lane,
 		// valued by the task's level set.
-		r.tr.Instant("solve.task", int32(id), float64(r.plan.level[t]))
+		r.tr.Instant("solve.task", int32(worker), float64(r.plan.level[id]))
 	}
 	if r.rt != nil {
 		// Per-task request span: static names keep this allocation-free;
@@ -528,61 +381,13 @@ func (r *solveRun) exec(t int32, id int, ws *dense.Workspace) {
 		if task.src == task.dst {
 			name = "solve.trsm"
 		}
-		r.rt.Span(name, int32(id), tstart, r.rt.Now()-tstart, obs.SpanInfo{
-			K:      t,
+		r.rt.Span(name, int32(worker), tstart, r.rt.Now()-tstart, obs.SpanInfo{
+			K:      int32(id),
 			M:      task.dst,
 			N:      task.src,
-			RankIn: r.plan.level[t],
-			Flops:  r.plan.cost[t],
+			RankIn: r.plan.level[id],
+			Flops:  r.plan.cost[id],
 		}, true)
 	}
-}
-
-// taskLess orders the ready heap: higher critical-path priority first,
-// ties to the lower task id (the sequential emission order).
-func (r *solveRun) taskLess(a, b int32) bool {
-	pa, pb := r.plan.prio[a], r.plan.prio[b]
-	if pa != pb {
-		return pa > pb
-	}
-	return a < b
-}
-
-func (r *solveRun) pushLocked(t int32) {
-	r.heap = append(r.heap, t)
-	i := len(r.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !r.taskLess(r.heap[i], r.heap[parent]) {
-			break
-		}
-		r.heap[i], r.heap[parent] = r.heap[parent], r.heap[i]
-		i = parent
-	}
-}
-
-func (r *solveRun) popLocked() int32 {
-	h := r.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	r.heap = h
-	i := 0
-	for {
-		l, rt := 2*i+1, 2*i+2
-		next := i
-		if l < last && r.taskLess(h[l], h[next]) {
-			next = l
-		}
-		if rt < last && r.taskLess(h[rt], h[next]) {
-			next = rt
-		}
-		if next == i {
-			break
-		}
-		h[i], h[next] = h[next], h[i]
-		i = next
-	}
-	return top
+	return nil
 }

@@ -67,11 +67,18 @@ func GetWorkspace() *Workspace {
 	return w
 }
 
-// Release reclaims every allocation handed out this cycle and returns
-// the workspace to the pool. If the cycle overflowed the slab, the
+// Release reclaims every allocation handed out this cycle (Reset) and
+// returns the workspace to the pool.
+func (w *Workspace) Release() {
+	w.Reset()
+	wsPool.Put(w)
+}
+
+// Reset reclaims every allocation handed out this cycle and starts a
+// new one, keeping the workspace. If the cycle overflowed the slab, the
 // retired slabs are coalesced into one allocation sized to the new
 // high-water mark so the next cycle runs allocation-free.
-func (w *Workspace) Release() {
+func (w *Workspace) Reset() {
 	if len(w.old) > 0 {
 		total := len(w.slab)
 		for _, s := range w.old {
@@ -92,7 +99,6 @@ func (w *Workspace) Release() {
 	}
 	w.off, w.ioff, w.nh = 0, 0, 0
 	w.warm = true
-	wsPool.Put(w)
 }
 
 // Shard returns a metrics shard index that is contention-free for the

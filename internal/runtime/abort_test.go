@@ -15,23 +15,26 @@ import (
 // (long dependency spines keep workers blocking on releases) and wide
 // enough that several workers are mid-task when an abort hits. Task
 // (c, d) fails iff fail(c, d) returns a non-nil error.
-func buildDeepGraph(chains, depth int, body func(c, d int) error) (*Graph, int) {
-	g := NewGraph()
-	prev := make([]*Task, chains)
+func buildDeepGraph(chains, depth int, body func(c, d int) error) (*testGraph, int) {
+	g := newTestGraph()
+	prev := make([]int32, chains)
+	for i := range prev {
+		prev[i] = -1
+	}
 	for d := 0; d < depth; d++ {
-		cur := make([]*Task, chains)
+		cur := make([]int32, chains)
 		for c := 0; c < chains; c++ {
 			c, d := c, d
 			// Spread priorities so the heap ordering is exercised too.
-			cur[c] = g.NewTask(fmt.Sprintf("t(%d,%d)", c, d), int64((c*7+d*3)%13), func() error {
+			cur[c] = g.task(fmt.Sprintf("t(%d,%d)", c, d), int64((c*7+d*3)%13), func() error {
 				return body(c, d)
 			})
-			if prev[c] != nil {
-				g.AddDep(prev[c], cur[c])
+			if prev[c] >= 0 {
+				g.Dep(prev[c], cur[c])
 			}
 			// Cross edge to the neighbouring chain every third level.
-			if d%3 == 0 && c > 0 && prev[c-1] != nil {
-				g.AddDep(prev[c-1], cur[c])
+			if d%3 == 0 && c > 0 && prev[c-1] >= 0 {
+				g.Dep(prev[c-1], cur[c])
 			}
 		}
 		prev = cur
@@ -42,7 +45,7 @@ func buildDeepGraph(chains, depth int, body func(c, d int) error) (*Graph, int) 
 // runWithTimeout runs the graph on a separate goroutine and fails the
 // test if Run does not return within the deadline — the hang the abort
 // path must never produce.
-func runWithTimeout(t *testing.T, g *Graph, workers int, deadline time.Duration) (Stats, error) {
+func runWithTimeout(t *testing.T, g *testGraph, workers int, deadline time.Duration) (Stats, error) {
 	t.Helper()
 	type result struct {
 		st  Stats
@@ -50,7 +53,7 @@ func runWithTimeout(t *testing.T, g *Graph, workers int, deadline time.Duration)
 	}
 	done := make(chan result, 1)
 	go func() {
-		st, err := g.Run(workers)
+		st, err := g.run(workers)
 		done <- result{st, err}
 	}()
 	select {
@@ -142,18 +145,18 @@ func TestAbortOnPanicMidDeepGraph(t *testing.T) {
 func TestAbortWithSlowInFlightTasks(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for iter := 0; iter < 5; iter++ {
-		g := NewGraph()
+		g := newTestGraph()
 		var slowDone atomic.Int64
 		for i := 0; i < 8; i++ {
-			g.NewTask("slow", 0, func() error {
+			g.task("slow", 0, func() error {
 				time.Sleep(5 * time.Millisecond)
 				slowDone.Add(1)
 				return nil
 			})
 		}
-		fail := g.NewTask("fail", 100, func() error { return errors.New("boom") })
-		tail := g.NewTask("tail", 0, func() error { return errors.New("must not run") })
-		g.AddDep(fail, tail)
+		fail := g.task("fail", 100, func() error { return errors.New("boom") })
+		tail := g.task("tail", 0, func() error { return errors.New("must not run") })
+		g.Dep(fail, tail)
 		_, err := runWithTimeout(t, g, 4, 10*time.Second)
 		if err == nil || !strings.Contains(err.Error(), "boom") {
 			t.Fatalf("iter %d: want boom, got %v", iter, err)

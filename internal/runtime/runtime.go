@@ -1,134 +1,187 @@
-// Package runtime is a shared-memory task-based dataflow runtime in the
-// spirit of PaRSEC: computations are expressed as a DAG of fine-grained
-// tasks with explicit data dependencies, and a pool of workers executes
-// tasks as their dependencies resolve, highest priority first. It is
-// the execution engine behind the real (numerical) TLR Cholesky
-// factorization; the companion package sim plays the same role for
-// simulated distributed-memory executions.
-//
-// The design mirrors the runtime concepts the paper relies on:
-// dependency counting (a task becomes ready when its last input
-// arrives), priority-driven scheduling (critical-path tasks first), and
-// post-execution release of successors. Task graphs are built ahead of
-// execution from a trim.Structure, which is how the DAG trimming of
-// Section VI reaches the runtime: trimmed task instances are simply
-// never created.
+// Package runtime is the tree's shared-memory task executor, in the
+// spirit of PaRSEC: a DAG of tasks runs on a worker pool, each task once
+// its last predecessor has finished, highest priority (critical path)
+// first. Tile compression (package tilemat), the TLR factorization and
+// the planned solve (package core) all run on it; package sim plays the
+// same role for simulated distributed-memory executions. A graph is
+// int32 CSR built ahead of execution — factorization graphs from a
+// trim.Structure, so trimmed tasks are never created — and every task
+// runs through one Exec callback: a run allocates nothing per task, and
+// a warm run of a reused graph nothing at all.
 package runtime
 
 import (
-	"container/heap"
+	"cmp"
+	"context"
 	"fmt"
 	"runtime"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"tlrchol/internal/dense"
 	"tlrchol/internal/obs"
 )
 
-// Task is one node of the DAG. Create tasks through Graph.NewTask and
-// connect them with Graph.AddDep before calling Graph.Run.
-type Task struct {
-	// Label identifies the task in traces and error messages.
-	Label string
-	// Priority orders ready tasks: higher runs first.
-	Priority int64
-	// Run executes the task body. A non-nil error aborts the execution
-	// (in-flight tasks finish; pending ones are dropped).
-	Run func() error
-	// Info optionally annotates the task's trace span with kernel-level
-	// detail (tile coordinates, ranks, flops). Graph builders attach it
-	// only when a tracer is observing the graph; the task body may fill
-	// it in (e.g. with the rank the kernel produced) before returning —
-	// the span is emitted after the body completes.
-	Info *obs.SpanInfo
+// Exec runs task id on a worker in [0, workers), with the worker's
+// scratch workspace ws, which is reset when the task returns. An error
+// (or a panic) aborts the run.
+type Exec func(id, worker int, ws *dense.Workspace) error
 
-	id        int
-	waits     int32 // remaining unfinished predecessors
-	succs     []*Task
-	accesses  []Access
-	ran       bool
-	worker    int
-	startedAt time.Duration
-	duration  time.Duration
-	cpLen     int64 // critical-path length in tasks, for reporting
+// AccessMode declares how a task uses a datum.
+type AccessMode int
+
+const (
+	// Read declares a read-only access: reads after the same write may
+	// proceed concurrently.
+	Read AccessMode = iota
+	// Write declares a (read-)write access: it serializes against every
+	// earlier access to the same datum.
+	Write
+)
+
+// Access pairs a datum key (any comparable value) with its access mode.
+type Access struct {
+	Data interface{}
+	Mode AccessMode
 }
 
-// ID returns the task's creation index in its graph. IDs are dense in
-// [0, Graph.Tasks()) and follow insertion order, which is the
-// sequential-semantics order the dependency structure must preserve.
-func (t *Task) ID() int { return t.id }
+// R is shorthand for a read access.
+func R(data interface{}) Access { return Access{Data: data, Mode: Read} }
 
-// Worker returns the worker that executed (or is executing) the task.
-// It is set before the task body runs, so instrumented bodies may use
-// it as a metrics shard index; it is meaningless before execution.
-func (t *Task) Worker() int { return t.worker }
+// W is shorthand for a write access.
+func W(data interface{}) Access { return Access{Data: data, Mode: Write} }
 
-// Successors returns the tasks that depend on t. The slice is owned by
-// the graph; callers must not modify it.
-func (t *Task) Successors() []*Task { return t.succs }
-
-// Accesses returns the data accesses declared for t, in declaration
-// order. Tasks inserted through the DTD Inserter carry their accesses
-// automatically; tasks wired manually with AddDep carry none unless
-// DeclareAccesses was called. The slice is owned by the task.
-func (t *Task) Accesses() []Access { return t.accesses }
-
-// DeclareAccesses records data accesses on the task without inferring
-// any dependencies. It exists for graph builders that wire edges by
-// hand (package core) but still want static verifiers (package verify)
-// to be able to replay the access stream and prove the hand-built
-// edges hazard-complete.
-func (t *Task) DeclareAccesses(accesses ...Access) {
-	t.accesses = append(t.accesses, accesses...)
-}
-
-// Graph is a task DAG under construction and its execution engine.
+// Graph is a task DAG, built with Add and Dep. The first Run or
+// Successors call seals it into CSR form; a sealed graph may run any
+// number of times, concurrently unless observed. Task ids follow
+// insertion order, which Run requires to be topological: every edge
+// points to a higher id.
 type Graph struct {
-	tasks  []*Task
-	edges  int
-	tracer *obs.Tracer
+	// LabelFunc names task id; it is called only for traces, errors and
+	// dumps. Nil names tasks by their id.
+	LabelFunc func(id int) string
+	// AccessFunc, if set, declares the data task id reads and writes,
+	// for the hazard replay of package verify.
+	AccessFunc func(id int) []Access
+	// Info, if set, holds one span annotation per task for traced runs
+	// (nil entries emit bare spans). A task may fill its entry in: the
+	// span is emitted after the task completes.
+	Info []*obs.SpanInfo
+
+	prio  []int64
+	edges []edge // until sealed
+	// ndeps holds the in-degrees, succOff/succs the successor lists and
+	// roots the tasks without predecessors.
+	ndeps, succOff, succs, roots []int32
+	sealed, backward             bool
+
+	observed bool
+	tracer   *obs.Tracer
+	recs     []record // per task, of the last observed run
 }
 
-// Observe attaches an event tracer to the graph: Run will emit one span
-// per executed task (into the executing worker's lock-free buffer) and
-// ready-queue depth counter samples. A nil tracer — the default — keeps
-// the worker loop's instrumentation on its zero-allocation no-op path.
-func (g *Graph) Observe(tr *obs.Tracer) { g.tracer = tr }
+type edge struct{ from, to int32 }
 
-// NewGraph returns an empty task graph.
-func NewGraph() *Graph { return &Graph{} }
-
-// NewTask adds a task to the graph.
-func (g *Graph) NewTask(label string, priority int64, run func() error) *Task {
-	t := &Task{Label: label, Priority: priority, Run: run, id: len(g.tasks)}
-	g.tasks = append(g.tasks, t)
-	return t
+type record struct {
+	ran        bool
+	worker     int32
+	start, dur time.Duration
 }
 
-// AddDep declares that succ cannot start before pred finishes.
-func (g *Graph) AddDep(pred, succ *Task) {
-	pred.succs = append(pred.succs, succ)
-	succ.waits++
-	g.edges++
+// Add appends a task of the given priority (higher runs first) and
+// returns its id.
+func (g *Graph) Add(prio int64) int32 {
+	if g.sealed {
+		panic("runtime: Add on a sealed graph")
+	}
+	g.prio = append(g.prio, prio)
+	return int32(len(g.prio) - 1)
 }
 
-// Tasks returns the number of tasks in the graph.
-func (g *Graph) Tasks() int { return len(g.tasks) }
+// Dep declares that task succ cannot start before task pred finishes.
+func (g *Graph) Dep(pred, succ int32) {
+	if g.sealed {
+		panic("runtime: Dep on a sealed graph")
+	}
+	g.edges = append(g.edges, edge{pred, succ})
+	g.backward = g.backward || succ <= pred
+}
 
-// Task returns the task with the given ID (creation index). It lets
-// inspection passes walk the graph without holding on to the *Task
-// values returned at construction time.
-func (g *Graph) Task(id int) *Task { return g.tasks[id] }
+// SetPriority sets task id's priority, for builders that derive it from
+// the wired graph.
+func (g *Graph) SetPriority(id int, prio int64) { g.prio[id] = prio }
 
-// Edges returns the number of dependencies in the graph.
-func (g *Graph) Edges() int { return g.edges }
+// Priority returns task id's priority.
+func (g *Graph) Priority(id int) int64 { return g.prio[id] }
+
+// Tasks returns the number of tasks.
+func (g *Graph) Tasks() int { return len(g.prio) }
+
+// Edges returns the number of dependencies.
+func (g *Graph) Edges() int { return len(g.edges) + len(g.succs) }
+
+// Successors returns the tasks that depend on task id, in declaration
+// order. The slice is owned by the graph.
+func (g *Graph) Successors(id int) []int32 {
+	g.seal()
+	return g.succs[g.succOff[id]:g.succOff[id+1]]
+}
+
+// Label returns task id's name.
+func (g *Graph) Label(id int) string {
+	if g.LabelFunc == nil {
+		return strconv.Itoa(id)
+	}
+	return g.LabelFunc(id)
+}
+
+// Bytes returns the footprint of the scheduling arrays.
+func (g *Graph) Bytes() int64 {
+	g.seal()
+	return int64(8*len(g.prio) + 4*(len(g.ndeps)+len(g.succs)+len(g.succOff)+len(g.roots)))
+}
+
+func (g *Graph) seal() {
+	if g.sealed {
+		return
+	}
+	n := len(g.prio)
+	g.ndeps, g.succOff, g.succs = make([]int32, n), make([]int32, n+1), make([]int32, len(g.edges))
+	for _, e := range g.edges {
+		g.ndeps[e.to]++
+		g.succOff[e.from+1]++
+	}
+	for t := 0; t < n; t++ {
+		g.succOff[t+1] += g.succOff[t]
+	}
+	fill := slices.Clone(g.succOff[:n])
+	for _, e := range g.edges {
+		g.succs[fill[e.from]] = e.to
+		fill[e.from]++
+	}
+	for t, d := range g.ndeps {
+		if d == 0 {
+			g.roots = append(g.roots, int32(t))
+		}
+	}
+	g.edges, g.sealed = nil, true
+}
+
+// Observe makes Run time every task, for Stats.BusyTime, Trace and
+// PathNodes, and with a non-nil tracer emit a span per task (into the
+// worker's lock-free buffer) and ready-queue depth samples. Unobserved
+// runs read no clock per task.
+func (g *Graph) Observe(tr *obs.Tracer) { g.observed, g.tracer = true, tr }
 
 // Stats reports what happened during Run.
 type Stats struct {
 	// Elapsed is the wall-clock makespan of the execution.
 	Elapsed time.Duration
-	// BusyTime is the summed task execution time over all workers.
+	// BusyTime is the summed task execution time over all workers
+	// (observed runs only).
 	BusyTime time.Duration
 	// Executed is the number of tasks that ran.
 	Executed int
@@ -137,172 +190,220 @@ type Stats struct {
 	CriticalPathTasks int
 	// Workers is the worker count used.
 	Workers int
-	// MaxReady is the ready-queue high-water mark: the most tasks that
-	// were simultaneously runnable, an upper bound on the parallelism
-	// the DAG exposed to the scheduler.
+	// MaxReady is the ready-queue high-water mark: an upper bound on
+	// the parallelism the DAG exposed to the scheduler.
 	MaxReady int
 }
 
-// runTask executes a task body, converting panics into errors so a
-// crashing kernel aborts the execution cleanly instead of killing the
-// worker pool (fault containment — the runtime survives bad tasks).
-func runTask(t *Task) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
-	if t.Run == nil {
-		return nil
-	}
-	return t.Run()
-}
-
-// readyQueue is a max-heap of ready tasks by priority (FIFO among
-// equals via insertion sequence, keeping execution deterministic for
-// single-worker runs).
-type readyQueue struct {
-	items []*readyItem
-}
-
-type readyItem struct {
-	t   *Task
-	seq int64
-}
-
-func (q *readyQueue) Len() int { return len(q.items) }
-func (q *readyQueue) Less(i, j int) bool {
-	a, b := q.items[i], q.items[j]
-	if a.t.Priority != b.t.Priority {
-		return a.t.Priority > b.t.Priority
-	}
-	return a.seq < b.seq
-}
-func (q *readyQueue) Swap(i, j int)      { q.items[i], q.items[j] = q.items[j], q.items[i] }
-func (q *readyQueue) Push(x interface{}) { q.items = append(q.items, x.(*readyItem)) }
-func (q *readyQueue) Pop() interface{} {
-	old := q.items
-	n := len(old)
-	it := old[n-1]
-	q.items = old[:n-1]
-	return it
-}
-
-// Run executes the graph with the given number of workers (≤ 0 selects
-// GOMAXPROCS). It returns scheduling statistics and the first task
-// error encountered, if any. Run may be called once per graph.
+// Run executes the graph on workers goroutines (≤ 0: GOMAXPROCS), the
+// caller being worker 0, calling exec once per task. ctx (may be nil)
+// is checked before each task. Run returns the first error: the
+// context's, or a task's error or panic labelled with the task.
 //
-// Abort protocol: the first failing (or panicking) task sets aborted
-// inside the scheduler critical section, so successor release — gated
-// on !aborted at the decrement site — and the worker exit predicate
-// observe it consistently. In-flight tasks finish and are joined;
-// ready-but-unpopped tasks are dropped; successors of the failed task
-// are never released, transitively pinning everything downstream. Run
-// returns only after every worker has exited, so an abort leaks no
-// goroutines and cannot hang (regression-tested in abort_test.go).
-func (g *Graph) Run(workers int) (Stats, error) {
+// Abort protocol: the first failure sets the error under the scheduler
+// lock, which the worker exit predicate reads. In-flight tasks finish,
+// ready ones are dropped, and the failed task's successors are never
+// released. Run returns only after every worker has exited, so an abort
+// leaks no goroutines and cannot hang.
+func (g *Graph) Run(ctx context.Context, workers int, exec Exec) (Stats, error) {
+	g.seal()
+	if g.backward {
+		panic("runtime: an edge does not point to a higher task id")
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	start := time.Now()
-	tr := g.tracer
-	tr.StartAt(start, workers)
-	var (
-		mu       sync.Mutex
-		cond     = sync.Cond{L: &mu}
-		ready    readyQueue
-		seq      int64
-		pending  = int64(len(g.tasks))
-		firstE   error
-		aborted  bool
-		busyNs   int64
-		maxReady int
-	)
-	// push and the pop site below run under mu, which also serializes
-	// the tracer's scheduler-counter buffer.
-	push := func(t *Task) {
-		heap.Push(&ready, &readyItem{t: t, seq: seq})
-		seq++
-		d := ready.Len()
-		if d > maxReady {
-			maxReady = d
-		}
-		tr.SchedCounter("ready_queue", time.Since(start), float64(d))
+	r := runPool.Get().(*run)
+	defer func() {
+		r.g, r.ctx, r.exec, r.err = nil, nil, nil, nil // retain nothing
+		runPool.Put(r)
+	}()
+	r.g, r.ctx, r.exec = g, ctx, exec
+	r.start, r.maxReady, r.pending = time.Now(), 0, len(g.prio)
+	r.busy.Store(0)
+	if g.observed {
+		g.tracer.StartAt(r.start, workers)
+		g.recs = make([]record, len(g.prio))
 	}
-	mu.Lock()
-	for _, t := range g.tasks {
-		if t.waits == 0 {
-			push(t)
-		}
+	r.deps = append(r.deps[:0], g.ndeps...)
+	r.ready = r.ready[:0]
+	for _, t := range g.roots {
+		r.pushLocked(t) // no workers yet: the lock is not needed
 	}
-	mu.Unlock()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wt := tr.Worker(w)
-			for {
-				mu.Lock()
-				for ready.Len() == 0 && atomic.LoadInt64(&pending) > 0 && !aborted {
-					cond.Wait()
-				}
-				if ready.Len() == 0 || aborted {
-					mu.Unlock()
-					cond.Broadcast()
-					return
-				}
-				it := heap.Pop(&ready).(*readyItem)
-				tr.SchedCounter("ready_queue", time.Since(start), float64(ready.Len()))
-				mu.Unlock()
+	for w := len(r.spawn); w < workers; w++ {
+		r.spawn = append(r.spawn, func() {
+			defer r.wg.Done()
+			r.work(w)
+		})
+	}
+	r.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go r.spawn[w]()
+	}
+	r.work(0)
+	r.wg.Wait()
 
-				t := it.t
-				t.ran = true
-				t.worker = w
-				t.startedAt = time.Since(start)
-				t0 := time.Now()
-				err := runTask(t)
-				t.duration = time.Since(t0)
-				atomic.AddInt64(&busyNs, int64(t.duration))
-				wt.Span(t.Label, t.Info, t.startedAt, t.duration)
-
-				mu.Lock()
-				if err != nil && firstE == nil {
-					firstE = fmt.Errorf("task %s: %w", t.Label, err)
-					aborted = true
-				}
-				for _, s := range t.succs {
-					if cp := t.cpLen + 1; cp > s.cpLen {
-						s.cpLen = cp
-					}
-					if atomic.AddInt32(&s.waits, -1) == 0 && !aborted {
-						push(s)
-					}
-				}
-				atomic.AddInt64(&pending, -1)
-				mu.Unlock()
-				cond.Broadcast()
+	st := Stats{Elapsed: time.Since(r.start), BusyTime: time.Duration(r.busy.Load()), Workers: workers, MaxReady: r.maxReady}
+	// Ids are topological, so one forward pass over the tasks that ran
+	// (deps marked -1) settles every chain length.
+	r.cp = append(r.cp[:0], make([]int32, len(g.prio))...)
+	for t, d := range r.deps {
+		if d < 0 {
+			st.Executed++
+			c := r.cp[t] + 1
+			st.CriticalPathTasks = max(st.CriticalPathTasks, int(c))
+			for _, s := range g.succs[g.succOff[t]:g.succOff[t+1]] {
+				r.cp[s] = max(r.cp[s], c)
 			}
-		}()
-	}
-	wg.Wait()
-	st := Stats{
-		Elapsed:  time.Since(start),
-		BusyTime: time.Duration(busyNs),
-		Workers:  workers,
-		MaxReady: maxReady,
-	}
-	for _, t := range g.tasks {
-		if !t.ran {
-			continue
-		}
-		st.Executed++
-		if t.cpLen+1 > int64(st.CriticalPathTasks) {
-			st.CriticalPathTasks = int(t.cpLen + 1)
 		}
 	}
-	return st, firstE
+	return st, r.err
+}
+
+// run is the pooled state of one execution: warm runs reuse it at its
+// high-water capacity, so they allocate nothing.
+type run struct {
+	mu   sync.Mutex
+	cond sync.Cond
+	wg   sync.WaitGroup
+
+	g     *Graph
+	ctx   context.Context
+	exec  Exec
+	start time.Time
+	busy  atomic.Int64 // ns
+
+	// deps counts unfinished predecessors down, atomically and off the
+	// lock; a task that ran is marked -1.
+	deps []int32
+	cp   []int32
+	// ready, pending, err and maxReady are guarded by mu.
+	ready    []int32
+	pending  int
+	err      error
+	maxReady int
+
+	// spawn caches one worker closure per index: `go fn()` on a stored
+	// func allocates nothing, `go r.work(w)` an argument wrapper.
+	spawn []func()
+}
+
+var runPool = sync.Pool{New: func() any {
+	r := &run{}
+	r.cond.L = &r.mu
+	return r
+}}
+
+// work is the worker loop: pop the next ready task, run it, release the
+// successors whose dependency count hits zero; until the run completes
+// or fails.
+func (r *run) work(w int) {
+	// One workspace per worker, reset after every task: an arena frees
+	// nothing until then, so one kept for the whole run would hold every
+	// task's scratch.
+	ws := dense.GetWorkspace()
+	defer ws.Release()
+	g := r.g
+	wt := g.tracer.Worker(w)
+	for {
+		r.mu.Lock()
+		for len(r.ready) == 0 && r.pending > 0 && r.err == nil {
+			r.cond.Wait()
+		}
+		if r.err != nil || len(r.ready) == 0 {
+			r.mu.Unlock()
+			return
+		}
+		t := r.ready[len(r.ready)-1]
+		r.ready = r.ready[:len(r.ready)-1]
+		r.sample()
+		r.mu.Unlock()
+
+		if r.ctx != nil && r.ctx.Err() != nil {
+			r.fail(r.ctx.Err())
+			return
+		}
+		var start time.Duration
+		if g.observed {
+			start = time.Since(r.start)
+		}
+		err := r.call(t, w, ws)
+		if g.observed {
+			dur := time.Since(r.start) - start
+			g.recs[t] = record{ran: true, worker: int32(w), start: start, dur: dur}
+			r.busy.Add(int64(dur))
+			if wt != nil {
+				var info *obs.SpanInfo
+				if g.Info != nil {
+					info = g.Info[t]
+				}
+				wt.Span(g.Label(int(t)), info, start, dur)
+			}
+		}
+		ws.Reset()
+		r.deps[t] = -1
+		if err != nil {
+			r.fail(fmt.Errorf("task %s: %w", g.Label(int(t)), err))
+			return
+		}
+		for _, s := range g.succs[g.succOff[t]:g.succOff[t+1]] {
+			if atomic.AddInt32(&r.deps[s], -1) == 0 {
+				r.mu.Lock()
+				r.pushLocked(s)
+				r.mu.Unlock()
+				r.cond.Signal()
+			}
+		}
+		r.mu.Lock()
+		r.pending--
+		done := r.pending == 0
+		r.mu.Unlock()
+		if done {
+			r.cond.Broadcast()
+		}
+	}
+}
+
+// call runs one task, turning a panic into an error so a crashing
+// kernel aborts the run instead of the process.
+func (r *run) call(t int32, w int, ws *dense.Workspace) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v", p)
+		}
+	}()
+	return r.exec(int(t), w, ws)
+}
+
+// fail records the first error and wakes every worker to drain.
+func (r *run) fail(err error) {
+	r.mu.Lock()
+	if r.err == nil {
+		r.err = err
+	}
+	r.mu.Unlock()
+	r.cond.Broadcast()
+}
+
+// pushLocked inserts a ready task. The ready list is sorted by
+// ascending priority, and a task goes below the ready tasks of equal
+// priority, so the last entry runs next: highest priority first, ties
+// in release order. Ready sets stay small (a dozen tasks on the
+// benchmark's factorizations), where a sorted insertion is as cheap as
+// a heap.
+func (r *run) pushLocked(t int32) {
+	prio := r.g.prio
+	i, _ := slices.BinarySearchFunc(r.ready, t, func(a, b int32) int { return cmp.Compare(prio[a], prio[b]) })
+	r.ready = slices.Insert(r.ready, i, t)
+	r.maxReady = max(r.maxReady, len(r.ready))
+	r.sample()
+}
+
+// sample records the ready-queue depth on a traced run.
+func (r *run) sample() {
+	if tr := r.g.tracer; tr != nil {
+		tr.SchedCounter("ready_queue", time.Since(r.start), float64(len(r.ready)))
+	}
 }
 
 // TaskRecord is one executed task in a trace.
@@ -313,48 +414,34 @@ type TaskRecord struct {
 	Duration time.Duration
 }
 
-// Trace returns the execution records of all tasks that ran, in task
-// creation order. Only meaningful after Run.
+// Trace returns the tasks that ran in the last observed run, by id.
 func (g *Graph) Trace() []TaskRecord {
-	out := make([]TaskRecord, 0, len(g.tasks))
-	for _, t := range g.tasks {
-		if !t.ran {
-			continue
+	var out []TaskRecord
+	for t, rec := range g.recs {
+		if rec.ran {
+			out = append(out, TaskRecord{Label: g.Label(t), Worker: int(rec.worker), Start: rec.start, Duration: rec.dur})
 		}
-		out = append(out, TaskRecord{
-			Label: t.Label, Worker: t.worker,
-			Start: t.startedAt, Duration: t.duration,
-		})
 	}
 	return out
 }
 
-// PathNodes exports the executed DAG with its realized schedule in the
-// form obs.CriticalPath analyzes: one node per executed task with its
-// start/finish times and executed predecessors (edges into tasks that
-// never ran — possible only on aborted executions — are dropped). Only
-// meaningful after Run.
+// PathNodes exports the last observed run for obs.CriticalPath: one
+// node per executed task with its realized start/finish and executed
+// predecessors (tasks that never ran — aborted runs only — are dropped).
 func (g *Graph) PathNodes() []obs.PathNode {
-	idx := make([]int32, len(g.tasks))
-	nodes := make([]obs.PathNode, 0, len(g.tasks))
-	for i, t := range g.tasks {
-		if !t.ran {
-			idx[i] = -1
-			continue
+	idx := make([]int32, len(g.recs))
+	var nodes []obs.PathNode
+	for t, rec := range g.recs {
+		idx[t] = -1
+		if rec.ran {
+			idx[t] = int32(len(nodes))
+			nodes = append(nodes, obs.PathNode{Label: g.Label(t), Worker: rec.worker, Start: rec.start, Finish: rec.start + rec.dur})
 		}
-		idx[i] = int32(len(nodes))
-		nodes = append(nodes, obs.PathNode{
-			Label: t.Label, Worker: int32(t.worker),
-			Start: t.startedAt, Finish: t.startedAt + t.duration,
-		})
 	}
-	for i, t := range g.tasks {
-		if idx[i] < 0 {
-			continue
-		}
-		for _, s := range t.succs {
-			if j := idx[s.id]; j >= 0 {
-				nodes[j].Preds = append(nodes[j].Preds, idx[i])
+	for t := range g.recs {
+		for _, s := range g.Successors(t) {
+			if idx[t] >= 0 && idx[s] >= 0 {
+				nodes[idx[s]].Preds = append(nodes[idx[s]].Preds, idx[t])
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
@@ -9,28 +10,64 @@ import (
 	"testing"
 	"time"
 
+	"tlrchol/internal/dense"
 	"tlrchol/internal/obs"
 )
 
+// testGraph is a Graph whose tasks carry a label and a closure body,
+// run through one Exec that dispatches on the task id.
+type testGraph struct {
+	Graph
+	labels []string
+	bodies []func() error
+	// fn is exec bound once, so a warm run allocates no method value.
+	fn Exec
+}
+
+func newTestGraph() *testGraph {
+	g := &testGraph{}
+	g.LabelFunc = func(id int) string { return g.labels[id] }
+	g.fn = g.exec
+	return g
+}
+
+// task adds a task; a nil body does nothing.
+func (g *testGraph) task(label string, prio int64, body func() error) int32 {
+	g.labels = append(g.labels, label)
+	g.bodies = append(g.bodies, body)
+	return g.Add(prio)
+}
+
+func (g *testGraph) exec(id, _ int, _ *dense.Workspace) error {
+	if b := g.bodies[id]; b != nil {
+		return b()
+	}
+	return nil
+}
+
+func (g *testGraph) run(workers int) (Stats, error) {
+	return g.Run(context.Background(), workers, g.fn)
+}
+
 func TestLinearChainOrder(t *testing.T) {
-	g := NewGraph()
+	g := newTestGraph()
 	var mu sync.Mutex
 	var order []int
-	var prev *Task
+	prev := int32(-1)
 	for i := 0; i < 20; i++ {
 		i := i
-		task := g.NewTask("t", 0, func() error {
+		task := g.task("t", 0, func() error {
 			mu.Lock()
 			order = append(order, i)
 			mu.Unlock()
 			return nil
 		})
-		if prev != nil {
-			g.AddDep(prev, task)
+		if prev >= 0 {
+			g.Dep(prev, task)
 		}
 		prev = task
 	}
-	st, err := g.Run(4)
+	st, err := g.run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +86,11 @@ func TestLinearChainOrder(t *testing.T) {
 
 func TestDiamondDependency(t *testing.T) {
 	// a -> {b, c} -> d: d must run after both b and c.
-	g := NewGraph()
+	g := newTestGraph()
 	var seq []string
 	var mu sync.Mutex
-	mk := func(name string) *Task {
-		return g.NewTask(name, 0, func() error {
+	mk := func(name string) int32 {
+		return g.task(name, 0, func() error {
 			mu.Lock()
 			seq = append(seq, name)
 			mu.Unlock()
@@ -61,14 +98,14 @@ func TestDiamondDependency(t *testing.T) {
 		})
 	}
 	a, b, c, d := mk("a"), mk("b"), mk("c"), mk("d")
-	g.AddDep(a, b)
-	g.AddDep(a, c)
-	g.AddDep(b, d)
-	g.AddDep(c, d)
+	g.Dep(a, b)
+	g.Dep(a, c)
+	g.Dep(b, d)
+	g.Dep(c, d)
 	if g.Tasks() != 4 || g.Edges() != 4 {
 		t.Fatalf("graph accounting wrong")
 	}
-	if _, err := g.Run(3); err != nil {
+	if _, err := g.run(3); err != nil {
 		t.Fatal(err)
 	}
 	pos := map[string]int{}
@@ -83,10 +120,10 @@ func TestDiamondDependency(t *testing.T) {
 func TestRandomDAGRespectsDependencies(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 5; trial++ {
-		g := NewGraph()
+		g := newTestGraph()
 		n := 200
 		done := make([]atomic.Bool, n)
-		tasks := make([]*Task, n)
+		tasks := make([]int32, n)
 		type edge struct{ from, to int }
 		var edges []edge
 		for i := 0; i < n; i++ {
@@ -98,7 +135,7 @@ func TestRandomDAGRespectsDependencies(t *testing.T) {
 					preds = append(preds, rng.Intn(i))
 				}
 			}
-			tasks[i] = g.NewTask("t", int64(rng.Intn(10)), func() error {
+			tasks[i] = g.task("t", int64(rng.Intn(10)), func() error {
 				for _, p := range preds {
 					if !done[p].Load() {
 						return errors.New("dependency violated")
@@ -112,9 +149,9 @@ func TestRandomDAGRespectsDependencies(t *testing.T) {
 			}
 		}
 		for _, e := range edges {
-			g.AddDep(tasks[e.from], tasks[e.to])
+			g.Dep(tasks[e.from], tasks[e.to])
 		}
-		st, err := g.Run(8)
+		st, err := g.run(8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,16 +162,16 @@ func TestRandomDAGRespectsDependencies(t *testing.T) {
 }
 
 func TestPriorityOrderSingleWorker(t *testing.T) {
-	g := NewGraph()
+	g := newTestGraph()
 	var order []int
 	for _, p := range []int64{1, 5, 3, 9, 2} {
 		p := p
-		g.NewTask("t", p, func() error {
+		g.task("t", p, func() error {
 			order = append(order, int(p))
 			return nil
 		})
 	}
-	if _, err := g.Run(1); err != nil {
+	if _, err := g.run(1); err != nil {
 		t.Fatal(err)
 	}
 	want := []int{9, 5, 3, 2, 1}
@@ -145,14 +182,36 @@ func TestPriorityOrderSingleWorker(t *testing.T) {
 	}
 }
 
+// TestEqualPrioritiesRunInReleaseOrder: ready tasks of equal priority
+// run first-released first, the roots in id order.
+func TestEqualPrioritiesRunInReleaseOrder(t *testing.T) {
+	g := newTestGraph()
+	var order []string
+	mk := func(name string) int32 {
+		return g.task(name, 0, func() error { order = append(order, name); return nil })
+	}
+	a, b := mk("a"), mk("b")
+	c, d := mk("c"), mk("d")
+	g.Dep(a, d)
+	g.Dep(b, c)
+	if _, err := g.run(1); err != nil {
+		t.Fatal(err)
+	}
+	// a releases d before b releases c, so d runs first despite its
+	// higher id.
+	if got := strings.Join(order, ""); got != "abdc" {
+		t.Fatalf("equal-priority tasks ran as %s, want abdc", got)
+	}
+}
+
 func TestErrorAbortsPendingTasks(t *testing.T) {
-	g := NewGraph()
+	g := newTestGraph()
 	boom := errors.New("boom")
-	first := g.NewTask("first", 0, func() error { return boom })
+	first := g.task("first", 0, func() error { return boom })
 	ran := false
-	second := g.NewTask("second", 0, func() error { ran = true; return nil })
-	g.AddDep(first, second)
-	st, err := g.Run(2)
+	second := g.task("second", 0, func() error { ran = true; return nil })
+	g.Dep(first, second)
+	st, err := g.run(2)
 	if !errors.Is(err, boom) {
 		t.Fatalf("expected boom, got %v", err)
 	}
@@ -165,32 +224,32 @@ func TestErrorAbortsPendingTasks(t *testing.T) {
 }
 
 func TestErrorMessageIncludesLabel(t *testing.T) {
-	g := NewGraph()
-	g.NewTask("potrf(3)", 0, func() error { return errors.New("not spd") })
-	_, err := g.Run(1)
+	g := newTestGraph()
+	g.task("potrf(3)", 0, func() error { return errors.New("not spd") })
+	_, err := g.run(1)
 	if err == nil || err.Error() != "task potrf(3): not spd" {
 		t.Fatalf("error label missing: %v", err)
 	}
 }
 
 func TestEmptyGraph(t *testing.T) {
-	g := NewGraph()
-	st, err := g.Run(4)
+	g := newTestGraph()
+	st, err := g.run(4)
 	if err != nil || st.Executed != 0 {
 		t.Fatalf("empty graph should run trivially: %v %+v", err, st)
 	}
 }
 
 func TestWideGraphManyWorkers(t *testing.T) {
-	g := NewGraph()
+	g := newTestGraph()
 	var count atomic.Int64
 	for i := 0; i < 1000; i++ {
-		g.NewTask("w", 0, func() error {
+		g.task("w", 0, func() error {
 			count.Add(1)
 			return nil
 		})
 	}
-	st, err := g.Run(16)
+	st, err := g.run(16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,14 +262,15 @@ func TestWideGraphManyWorkers(t *testing.T) {
 }
 
 func TestBusyTimeAccumulates(t *testing.T) {
-	g := NewGraph()
+	g := newTestGraph()
 	for i := 0; i < 4; i++ {
-		g.NewTask("sleep", 0, func() error {
+		g.task("sleep", 0, func() error {
 			time.Sleep(2 * time.Millisecond)
 			return nil
 		})
 	}
-	st, err := g.Run(2)
+	g.Observe(nil) // busy time needs the per-task clock
+	st, err := g.run(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,13 +283,13 @@ func TestStressRandomDelays(t *testing.T) {
 	// Fault-injection style stress: random sleeps shake out ordering
 	// races between dependency release and worker wakeup.
 	rng := rand.New(rand.NewSource(11))
-	g := NewGraph()
+	g := newTestGraph()
 	n := 100
 	var finished atomic.Int64
-	tasks := make([]*Task, n)
+	tasks := make([]int32, n)
 	for i := 0; i < n; i++ {
 		d := time.Duration(rng.Intn(300)) * time.Microsecond
-		tasks[i] = g.NewTask("t", int64(rng.Intn(5)), func() error {
+		tasks[i] = g.task("t", int64(rng.Intn(5)), func() error {
 			time.Sleep(d)
 			finished.Add(1)
 			return nil
@@ -237,10 +297,10 @@ func TestStressRandomDelays(t *testing.T) {
 	}
 	for i := 1; i < n; i++ {
 		if rng.Float64() < 0.5 {
-			g.AddDep(tasks[rng.Intn(i)], tasks[i])
+			g.Dep(tasks[rng.Intn(i)], tasks[i])
 		}
 	}
-	if _, err := g.Run(8); err != nil {
+	if _, err := g.run(8); err != nil {
 		t.Fatal(err)
 	}
 	if finished.Load() != int64(n) {
@@ -249,36 +309,37 @@ func TestStressRandomDelays(t *testing.T) {
 }
 
 func TestPanicIsContained(t *testing.T) {
-	g := NewGraph()
-	g.NewTask("kernel", 0, func() error { panic("segfault-like crash") })
-	after := g.NewTask("after", 0, func() error { return nil })
-	g.AddDep(g.tasks[0], after)
-	_, err := g.Run(2)
-	if err == nil || !strings.Contains(err.Error(), "panic: segfault-like crash") {
-		t.Fatalf("panic must surface as an error, got %v", err)
+	g := newTestGraph()
+	kernel := g.task("kernel", 0, func() error { panic("segfault-like crash") })
+	ran := false
+	after := g.task("after", 0, func() error { ran = true; return nil })
+	g.Dep(kernel, after)
+	_, err := g.run(2)
+	if err == nil || !strings.Contains(err.Error(), "task kernel: panic: segfault-like crash") {
+		t.Fatalf("panic must surface as an error naming the task, got %v", err)
 	}
-	if after.ran {
+	if ran {
 		t.Fatalf("successor of a panicked task must not run")
 	}
 }
 
 // obsTestGraph builds a small diamond DAG with sleeping bodies, runs it
 // under a tracer and returns the graph, stats and tracer.
-func obsTestGraph(t *testing.T, workers int) (*Graph, Stats, *obs.Tracer) {
+func obsTestGraph(t *testing.T, workers int) (*testGraph, Stats, *obs.Tracer) {
 	t.Helper()
-	g := NewGraph()
+	g := newTestGraph()
 	work := func() error { time.Sleep(time.Millisecond); return nil }
-	a := g.NewTask("potrf(0)", 3, work)
-	b := g.NewTask("trsm(0,1)", 2, work)
-	c := g.NewTask("trsm(0,2)", 2, work)
-	d := g.NewTask("syrk(0,1)", 1, work)
-	g.AddDep(a, b)
-	g.AddDep(a, c)
-	g.AddDep(b, d)
-	g.AddDep(c, d)
+	a := g.task("potrf(0)", 3, work)
+	b := g.task("trsm(0,1)", 2, work)
+	c := g.task("trsm(0,2)", 2, work)
+	d := g.task("syrk(0,1)", 1, work)
+	g.Dep(a, b)
+	g.Dep(a, c)
+	g.Dep(b, d)
+	g.Dep(c, d)
 	tr := obs.NewTracer()
 	g.Observe(tr)
-	st, err := g.Run(workers)
+	st, err := g.run(workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,11 +429,12 @@ func TestPathNodes(t *testing.T) {
 // TestPathNodesDropsAborted: tasks that never ran (aborted execution)
 // are absent from the export, and edges into them are dropped.
 func TestPathNodesDropsAborted(t *testing.T) {
-	g := NewGraph()
-	a := g.NewTask("a", 0, func() error { return errors.New("boom") })
-	b := g.NewTask("b", 0, nil)
-	g.AddDep(a, b)
-	if _, err := g.Run(1); err == nil {
+	g := newTestGraph()
+	a := g.task("a", 0, func() error { return errors.New("boom") })
+	b := g.task("b", 0, nil)
+	g.Dep(a, b)
+	g.Observe(nil)
+	if _, err := g.run(1); err == nil {
 		t.Fatal("expected error")
 	}
 	nodes := g.PathNodes()
@@ -384,17 +446,17 @@ func TestPathNodesDropsAborted(t *testing.T) {
 // TestTaskInfoReachesSpan: a task's Info annotation, filled in by the
 // body during execution, is copied into its span event.
 func TestTaskInfoReachesSpan(t *testing.T) {
-	g := NewGraph()
-	tk := g.NewTask("gemm(0,2,1)", 0, nil)
-	tk.Info = &obs.SpanInfo{K: 0, M: 2, N: 1}
-	tk.Run = func() error {
-		tk.Info.RankOut = 17
-		tk.Info.Flops = 12345
+	g := newTestGraph()
+	info := &obs.SpanInfo{K: 0, M: 2, N: 1}
+	g.task("gemm(0,2,1)", 0, func() error {
+		info.RankOut = 17
+		info.Flops = 12345
 		return nil
-	}
+	})
+	g.Info = []*obs.SpanInfo{info}
 	tr := obs.NewTracer()
 	g.Observe(tr)
-	if _, err := g.Run(1); err != nil {
+	if _, err := g.run(1); err != nil {
 		t.Fatal(err)
 	}
 	evs := tr.Events()
@@ -409,5 +471,103 @@ func TestTaskInfoReachesSpan(t *testing.T) {
 	}
 	if span.Info.M != 2 || span.Info.RankOut != 17 || span.Info.Flops != 12345 {
 		t.Fatalf("info not propagated: %+v", span.Info)
+	}
+}
+
+// TestUnobservedRunKeepsNoTimes: an unobserved run reads no clock per
+// task, so it reports no busy time and leaves no trace behind.
+func TestUnobservedRunKeepsNoTimes(t *testing.T) {
+	g := newTestGraph()
+	g.Dep(g.task("a", 0, nil), g.task("b", 0, nil))
+	st, err := g.run(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Executed != 2 || st.CriticalPathTasks != 2 || st.BusyTime != 0 {
+		t.Fatalf("unobserved stats wrong: %+v", st)
+	}
+	if len(g.Trace()) != 0 || len(g.PathNodes()) != 0 {
+		t.Fatalf("unobserved run recorded a trace")
+	}
+}
+
+// TestSealedCSR pins the CSR invariants: successors in declaration
+// order, in-degrees counting duplicate edges, roots ascending.
+func TestSealedCSR(t *testing.T) {
+	g := newTestGraph()
+	a, b, c, d := g.task("a", 0, nil), g.task("b", 0, nil), g.task("c", 0, nil), g.task("d", 0, nil)
+	g.Dep(a, c)
+	g.Dep(a, b)
+	g.Dep(b, d)
+	g.Dep(b, d)
+	if g.Edges() != 4 {
+		t.Fatalf("edges %d before sealing", g.Edges())
+	}
+	if s := g.Successors(int(a)); len(s) != 2 || s[0] != c || s[1] != b {
+		t.Fatalf("successors of a: %v", s)
+	}
+	if g.Edges() != 4 || len(g.roots) != 1 || g.roots[0] != a || g.ndeps[d] != 2 {
+		t.Fatalf("sealed graph wrong: edges %d roots %v ndeps %v", g.Edges(), g.roots, g.ndeps)
+	}
+	if _, err := g.run(2); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunRejectsBackwardEdge: an edge that does not point to a higher
+// id (here a cycle) is inspectable but must not reach the scheduler,
+// where it would hang the run.
+func TestRunRejectsBackwardEdge(t *testing.T) {
+	g := newTestGraph()
+	a, b := g.task("a", 0, nil), g.task("b", 0, nil)
+	g.Dep(a, b)
+	g.Dep(b, a)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Run accepted a cyclic graph")
+		}
+	}()
+	_, _ = g.run(2)
+}
+
+// TestCancelledContextStopsRun: the context is checked before each
+// task, and its error comes back unwrapped.
+func TestCancelledContextStopsRun(t *testing.T) {
+	g := newTestGraph()
+	ctx, cancel := context.WithCancel(context.Background())
+	a := g.task("a", 0, func() error { cancel(); return nil })
+	ran := false
+	g.Dep(a, g.task("b", 0, func() error { ran = true; return nil }))
+	st, err := g.Run(ctx, 2, g.exec)
+	if !errors.Is(err, context.Canceled) || ran || st.Executed != 1 {
+		t.Fatalf("want a cancelled run after one task, got %v (ran=%v, %+v)", err, ran, st)
+	}
+}
+
+// TestWarmRunAllocatesNothing: re-running a sealed graph reuses the
+// pooled run state, so an unobserved warm run allocates nothing.
+func TestWarmRunAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
+	}
+	g := newTestGraph()
+	prev := int32(-1)
+	for i := 0; i < 64; i++ {
+		id := g.task("t", int64(i%5), nil)
+		if prev >= 0 && i%3 != 0 {
+			g.Dep(prev, id)
+		}
+		prev = id
+	}
+	run := func() {
+		if _, err := g.run(2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		run()
+	}
+	if allocs := testing.AllocsPerRun(20, run); allocs > 0 {
+		t.Fatalf("warm run allocates %.1f times, want 0", allocs)
 	}
 }

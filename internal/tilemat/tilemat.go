@@ -6,6 +6,7 @@
 package tilemat
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -140,6 +141,14 @@ func (st *CompressionStats) record(t *tlr.Tile) {
 	}
 }
 
+// add accumulates another build's stats.
+func (st *CompressionStats) add(o CompressionStats) {
+	st.DenseBytes += o.DenseBytes
+	st.CompressedBytes += o.CompressedBytes
+	st.ZeroTiles += o.ZeroTiles
+	st.LowRankTiles += o.LowRankTiles
+}
+
 // FromAssemblerComp is FromAssembler with a pluggable tile compressor.
 // Per-tile compressors (the deterministic SVD chain) keep the original
 // one-tile-at-a-time memory profile; column-batched compressors (ARA)
@@ -149,45 +158,78 @@ func (st *CompressionStats) record(t *tlr.Tile) {
 func FromAssemblerComp(n, b int, asm Assembler, tol float64, maxRank int, comp tlr.Compressor) (*Matrix, CompressionStats) {
 	m := New(n, b)
 	var st CompressionStats
-	cc, batched := comp.(tlr.ColumnCompressor)
 	ws := dense.GetWorkspace()
 	defer ws.Release()
-	for j := 0; j < m.NT; j++ {
-		c0, c1 := m.RowStart(j), m.RowStart(j)+m.TileRows(j)
-		diag := asm(c0, c1, c0, c1)
-		m.tiles[j][j] = tlr.NewDense(diag)
-		st.DenseBytes += 8 * diag.Rows * diag.Cols
-		st.CompressedBytes += 8 * diag.Rows * diag.Cols
-		if !batched {
-			for i := j + 1; i < m.NT; i++ {
-				r0, r1 := m.RowStart(i), m.RowStart(i)+m.TileRows(i)
-				blk := asm(r0, r1, c0, c1)
-				st.DenseBytes += 8 * blk.Rows * blk.Cols
-				t := comp.CompressWS(blk, tol, maxRank, ws)
-				m.tiles[i][j] = t
-				st.record(t)
-			}
-			continue
-		}
-		nb := m.NT - j - 1
-		if nb == 0 {
-			continue
-		}
-		blocks := make([]*dense.Matrix, nb)
-		for i := j + 1; i < m.NT; i++ {
-			r0, r1 := m.RowStart(i), m.RowStart(i)+m.TileRows(i)
-			blocks[i-j-1] = asm(r0, r1, c0, c1)
-			st.DenseBytes += 8 * blocks[i-j-1].Rows * blocks[i-j-1].Cols
-		}
-		out := make([]*tlr.Tile, nb)
-		cc.CompressColumnWS(j, blocks, tol, maxRank, ws, out)
-		for i := j + 1; i < m.NT; i++ {
-			t := out[i-j-1]
-			m.tiles[i][j] = t
-			st.record(t)
-		}
+	for _, jb := range buildJobs(m.NT, comp) {
+		st.add(m.build(jb, asm, tol, maxRank, comp, ws))
 	}
 	return m, st
+}
+
+// buildJob is one unit of a builder's work: diagonal tile j (i == j),
+// off-diagonal tile (i,j), or all off-diagonal tiles of column j at
+// once for a column-batched compressor (i < 0).
+type buildJob struct{ i, j int }
+
+// buildJobs lists a builder's jobs in the sequential order: per tile
+// column, the diagonal tile, then its off-diagonal tiles.
+func buildJobs(nt int, comp tlr.Compressor) []buildJob {
+	_, batched := comp.(tlr.ColumnCompressor)
+	var jobs []buildJob
+	for j := 0; j < nt; j++ {
+		jobs = append(jobs, buildJob{j, j})
+		if !batched {
+			for i := j + 1; i < nt; i++ {
+				jobs = append(jobs, buildJob{i, j})
+			}
+		} else if j < nt-1 {
+			jobs = append(jobs, buildJob{-1, j})
+		}
+	}
+	return jobs
+}
+
+func (jb buildJob) String() string {
+	switch {
+	case jb.i == jb.j:
+		return fmt.Sprintf("assemble(%d,%d)", jb.j, jb.j)
+	case jb.i < 0:
+		return fmt.Sprintf("compress-col(%d)", jb.j)
+	}
+	return fmt.Sprintf("compress(%d,%d)", jb.i, jb.j)
+}
+
+// build assembles job jb's tiles into m, compressing the off-diagonal
+// ones, and returns its stats.
+func (m *Matrix) build(jb buildJob, asm Assembler, tol float64, maxRank int, comp tlr.Compressor, ws *dense.Workspace) (st CompressionStats) {
+	c0, c1 := m.RowStart(jb.j), m.RowStart(jb.j)+m.TileRows(jb.j)
+	if jb.i == jb.j {
+		diag := asm(c0, c1, c0, c1)
+		m.tiles[jb.j][jb.j] = tlr.NewDense(diag)
+		st.DenseBytes = 8 * diag.Rows * diag.Cols
+		st.CompressedBytes = st.DenseBytes
+		return st
+	}
+	lo, hi := jb.i, jb.i+1
+	if jb.i < 0 {
+		lo, hi = jb.j+1, m.NT
+	}
+	blocks, out := make([]*dense.Matrix, hi-lo), make([]*tlr.Tile, hi-lo)
+	for r := range blocks {
+		r0 := m.RowStart(lo + r)
+		blocks[r] = asm(r0, r0+m.TileRows(lo+r), c0, c1)
+		st.DenseBytes += 8 * blocks[r].Rows * blocks[r].Cols
+	}
+	if jb.i < 0 {
+		comp.(tlr.ColumnCompressor).CompressColumnWS(jb.j, blocks, tol, maxRank, ws, out)
+	} else {
+		out[0] = comp.CompressWS(blocks[0], tol, maxRank, ws)
+	}
+	for r, t := range out {
+		m.tiles[lo+r][jb.j] = t
+		st.record(t)
+	}
+	return st
 }
 
 // FromDense compresses an explicit dense SPD matrix into TLR form.
@@ -355,76 +397,29 @@ func FromAssemblerParallel(n, b int, asm Assembler, tol float64, maxRank, worker
 }
 
 // FromAssemblerParallelComp is FromAssemblerParallel with a pluggable
-// compressor. Per-tile compressors spawn one task per tile; a
-// column-batched compressor (ARA) spawns one task per tile column for
-// its off-diagonal tiles (plus per-tile diagonal tasks), so each task
-// runs one batched sampling pass. Results are identical to the
-// sequential builder in either case — the ARA sampling streams are
-// position-seeded, not scheduling-dependent.
+// compressor: one task per job of the sequential builder (buildJobs) —
+// per tile for per-tile compressors; for a column-batched compressor
+// (ARA) one per tile column's off-diagonal tiles, so each task runs one
+// batched sampling pass. Results are identical to the sequential
+// builder either way — the ARA sampling streams are position-seeded,
+// not scheduling-dependent.
 func FromAssemblerParallelComp(n, b int, asm Assembler, tol float64, maxRank, workers int, comp tlr.Compressor) (*Matrix, CompressionStats, error) {
 	m := New(n, b)
+	jobs := buildJobs(m.NT, comp)
+	g := &runtime.Graph{LabelFunc: func(id int) string { return jobs[id].String() }}
+	for range jobs {
+		g.Add(0)
+	}
 	var mu sync.Mutex
 	var st CompressionStats
-	cc, batched := comp.(tlr.ColumnCompressor)
-	g := runtime.NewGraph()
-	for j := 0; j < m.NT; j++ {
-		j := j
-		c0, c1 := m.RowStart(j), m.RowStart(j)+m.TileRows(j)
-		g.NewTask(fmt.Sprintf("assemble(%d,%d)", j, j), 0, func() error {
-			diag := asm(c0, c1, c0, c1)
-			m.tiles[j][j] = tlr.NewDense(diag)
-			mu.Lock()
-			st.DenseBytes += 8 * diag.Rows * diag.Cols
-			st.CompressedBytes += 8 * diag.Rows * diag.Cols
-			mu.Unlock()
-			return nil
-		})
-		if batched {
-			if m.NT-j-1 == 0 {
-				continue
-			}
-			g.NewTask(fmt.Sprintf("compress-col(%d)", j), 0, func() error {
-				ws := dense.GetWorkspace()
-				defer ws.Release()
-				nb := m.NT - j - 1
-				blocks := make([]*dense.Matrix, nb)
-				var denseBytes int
-				for i := j + 1; i < m.NT; i++ {
-					r0, r1 := m.RowStart(i), m.RowStart(i)+m.TileRows(i)
-					blocks[i-j-1] = asm(r0, r1, c0, c1)
-					denseBytes += 8 * blocks[i-j-1].Rows * blocks[i-j-1].Cols
-				}
-				out := make([]*tlr.Tile, nb)
-				cc.CompressColumnWS(j, blocks, tol, maxRank, ws, out)
-				mu.Lock()
-				st.DenseBytes += denseBytes
-				for i := j + 1; i < m.NT; i++ {
-					m.tiles[i][j] = out[i-j-1]
-					st.record(out[i-j-1])
-				}
-				mu.Unlock()
-				return nil
-			})
-			continue
-		}
-		for i := j + 1; i < m.NT; i++ {
-			i := i
-			r0, r1 := m.RowStart(i), m.RowStart(i)+m.TileRows(i)
-			g.NewTask(fmt.Sprintf("compress(%d,%d)", i, j), 0, func() error {
-				ws := dense.GetWorkspace()
-				defer ws.Release()
-				blk := asm(r0, r1, c0, c1)
-				t := comp.CompressWS(blk, tol, maxRank, ws)
-				m.tiles[i][j] = t
-				mu.Lock()
-				st.DenseBytes += 8 * blk.Rows * blk.Cols
-				st.record(t)
-				mu.Unlock()
-				return nil
-			})
-		}
-	}
-	if _, err := g.Run(workers); err != nil {
+	_, err := g.Run(context.TODO(), workers, func(id, _ int, ws *dense.Workspace) error {
+		js := m.build(jobs[id], asm, tol, maxRank, comp, ws)
+		mu.Lock()
+		st.add(js)
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
 		return nil, st, err
 	}
 	return m, st, nil

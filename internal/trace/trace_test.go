@@ -1,10 +1,12 @@
 package trace
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
 
+	"tlrchol/internal/dense"
 	"tlrchol/internal/obs"
 	"tlrchol/internal/runtime"
 )
@@ -128,11 +130,12 @@ func TestGanttLastColumnReachable(t *testing.T) {
 }
 
 func TestEndToEndWithRuntime(t *testing.T) {
-	g := runtime.NewGraph()
-	a := g.NewTask("potrf(0)", 2, func() error { time.Sleep(time.Millisecond); return nil })
-	b := g.NewTask("trsm(0,1)", 1, func() error { time.Sleep(time.Millisecond); return nil })
-	g.AddDep(a, b)
-	if _, err := g.Run(2); err != nil {
+	labels := []string{"potrf(0)", "trsm(0,1)"}
+	g := &runtime.Graph{LabelFunc: func(id int) string { return labels[id] }}
+	g.Dep(g.Add(2), g.Add(1))
+	g.Observe(nil)
+	sleep := func(int, int, *dense.Workspace) error { time.Sleep(time.Millisecond); return nil }
+	if _, err := g.Run(context.Background(), 2, sleep); err != nil {
 		t.Fatal(err)
 	}
 	recs := g.Trace()

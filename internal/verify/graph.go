@@ -1,15 +1,12 @@
 package verify
 
-import (
-	"fmt"
-
-	"tlrchol/internal/runtime"
-)
+import "tlrchol/internal/runtime"
 
 // CheckGraph statically verifies a runtime.Graph before execution:
 //
-//   - acyclicity (a cycle deadlocks the dependency-counting scheduler:
-//     the tasks on it never become ready);
+//   - every edge points to a higher task id: ids are the insertion
+//     order, which the runtime requires to be topological, so this
+//     also proves the graph acyclic;
 //   - no self-dependencies or duplicate edges (a duplicate inflates
 //     the wait count symmetrically, so it is legal — but it usually
 //     means a builder registered the same hazard twice);
@@ -21,9 +18,8 @@ import (
 //     WAW pair on a datum must be ordered by a directed path in the
 //     graph. This is the serializability proof: if it holds, every
 //     parallel schedule the runtime can produce computes the same
-//     result as the sequential program. Tasks without declared
-//     accesses (hand-wired graphs that never called DeclareAccesses)
-//     contribute nothing to the replay, so the check is vacuous there.
+//     result as the sequential program. A graph without an AccessFunc
+//     declares nothing, so the check is vacuous there.
 //
 // The graph may be checked before or after Run; only the static
 // structure is inspected.
@@ -34,68 +30,41 @@ func CheckGraph(g *runtime.Graph) Findings {
 		return fs
 	}
 
-	// Structural sweep: in-degrees, self-loops, duplicate edges.
+	// Structural sweep: in-degrees, self-loops, backward and duplicate
+	// edges.
 	indeg := make([]int, n)
-	dupEdges := 0
+	dupEdges, backward := 0, 0
 	for i := 0; i < n; i++ {
-		t := g.Task(i)
-		seen := make(map[int]bool, len(t.Successors()))
-		for _, s := range t.Successors() {
-			if s.ID() == i {
-				fs.add("graph", Error, "task %q depends on itself", t.Label)
+		succs := g.Successors(i)
+		seen := make(map[int32]bool, len(succs))
+		for _, s := range succs {
+			if int(s) == i {
+				fs.add("graph", Error, "task %q depends on itself", g.Label(i))
 				continue
 			}
-			if seen[s.ID()] {
-				dupEdges++
-				if dupEdges <= 3 {
-					fs.add("graph", Warning, "duplicate edge %q -> %q", t.Label, s.Label)
+			if int(s) < i {
+				if backward++; backward <= 3 {
+					fs.add("graph", Error, "edge %q -> %q points to an earlier task: a cycle, or an order the runtime cannot run",
+						g.Label(i), g.Label(int(s)))
 				}
 				continue
 			}
-			seen[s.ID()] = true
-			indeg[s.ID()]++
+			if seen[s] {
+				dupEdges++
+				if dupEdges <= 3 {
+					fs.add("graph", Warning, "duplicate edge %q -> %q", g.Label(i), g.Label(int(s)))
+				}
+				continue
+			}
+			seen[s] = true
+			indeg[s]++
 		}
 	}
 	if dupEdges > 3 {
 		fs.add("graph", Warning, "%d duplicate edges total", dupEdges)
 	}
-
-	// Kahn topological sort over the deduplicated edges: anything left
-	// unprocessed sits on (or downstream of) a cycle.
-	order := make([]int, 0, n)
-	queue := make([]int, 0, n)
-	deg := make([]int, n)
-	copy(deg, indeg)
-	for i := 0; i < n; i++ {
-		if deg[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		seen := make(map[int]bool)
-		for _, s := range g.Task(id).Successors() {
-			if s.ID() == id || seen[s.ID()] {
-				continue
-			}
-			seen[s.ID()] = true
-			if deg[s.ID()]--; deg[s.ID()] == 0 {
-				queue = append(queue, s.ID())
-			}
-		}
-	}
-	if len(order) < n {
-		stuck := make([]string, 0, 4)
-		for i := 0; i < n && len(stuck) < 4; i++ {
-			if deg[i] > 0 {
-				stuck = append(stuck, fmt.Sprintf("%q", g.Task(i).Label))
-			}
-		}
-		fs.add("graph", Error, "cycle: %d task(s) can never become ready (e.g. %v)",
-			n-len(order), stuck)
-		return fs // reachability below needs a topological order
+	if backward > 0 {
+		return fs // the reachability below relies on ids being topological
 	}
 
 	// Isolated tasks are only suspicious when the graph has edges at
@@ -105,9 +74,9 @@ func CheckGraph(g *runtime.Graph) Findings {
 		isolated := 0
 		example := ""
 		for i := 0; i < n; i++ {
-			if indeg[i] == 0 && len(g.Task(i).Successors()) == 0 {
+			if indeg[i] == 0 && len(g.Successors(i)) == 0 {
 				if isolated == 0 {
-					example = g.Task(i).Label
+					example = g.Label(i)
 				}
 				isolated++
 			}
@@ -119,37 +88,32 @@ func CheckGraph(g *runtime.Graph) Findings {
 		}
 	}
 
-	fs = append(fs, checkHazards(g, order)...)
+	fs = append(fs, checkHazards(g)...)
 	return fs
 }
 
 // checkHazards replays declared accesses in task-insertion order and
 // verifies every implied hazard pair is ordered by a path in the graph.
-// order must be a topological order of all task IDs.
-func checkHazards(g *runtime.Graph, order []int) Findings {
+// Every edge must point to a higher id.
+func checkHazards(g *runtime.Graph) Findings {
 	var fs Findings
 	n := g.Tasks()
-	declared := false
-	for i := 0; i < n && !declared; i++ {
-		declared = len(g.Task(i).Accesses()) > 0
-	}
-	if !declared {
+	if g.AccessFunc == nil {
 		return fs
 	}
 
 	// desc[i] holds the set of tasks reachable from i (excluding i),
-	// as a bitset, computed in reverse topological order.
+	// as a bitset, computed in reverse id (topological) order.
 	words := (n + 63) / 64
 	desc := make([][]uint64, n)
-	for i := len(order) - 1; i >= 0; i-- {
-		id := order[i]
+	for id := n - 1; id >= 0; id-- {
 		set := make([]uint64, words)
-		for _, s := range g.Task(id).Successors() {
-			if s.ID() == id {
+		for _, s := range g.Successors(id) {
+			if int(s) == id {
 				continue
 			}
-			set[s.ID()/64] |= 1 << (uint(s.ID()) % 64)
-			for w, v := range desc[s.ID()] {
+			set[s/64] |= 1 << (uint(s) % 64)
+			for w, v := range desc[s] {
 				set[w] |= v
 			}
 		}
@@ -160,39 +124,38 @@ func checkHazards(g *runtime.Graph, order []int) Findings {
 	}
 
 	type state struct {
-		lastWrite  *runtime.Task
-		readsSince []*runtime.Task
+		lastWrite  int // -1: none yet
+		readsSince []int
 	}
 	data := map[interface{}]*state{}
 	hazards := 0
-	require := func(kind string, datum interface{}, pred, succ *runtime.Task) {
-		if pred == nil || pred == succ || reaches(pred.ID(), succ.ID()) {
+	require := func(kind string, datum interface{}, pred, succ int) {
+		if pred < 0 || pred == succ || reaches(pred, succ) {
 			return
 		}
 		hazards++
 		if hazards <= 5 {
 			fs.add("graph", Error, "missing %s ordering on %v: no path %q -> %q",
-				kind, datum, pred.Label, succ.Label)
+				kind, datum, g.Label(pred), g.Label(succ))
 		}
 	}
 	for i := 0; i < n; i++ {
-		t := g.Task(i)
-		for _, a := range t.Accesses() {
+		for _, a := range g.AccessFunc(i) {
 			st := data[a.Data]
 			if st == nil {
-				st = &state{}
+				st = &state{lastWrite: -1}
 				data[a.Data] = st
 			}
 			switch a.Mode {
 			case runtime.Read:
-				require("RAW", a.Data, st.lastWrite, t)
-				st.readsSince = append(st.readsSince, t)
+				require("RAW", a.Data, st.lastWrite, i)
+				st.readsSince = append(st.readsSince, i)
 			case runtime.Write:
-				require("WAW", a.Data, st.lastWrite, t)
+				require("WAW", a.Data, st.lastWrite, i)
 				for _, r := range st.readsSince {
-					require("WAR", a.Data, r, t)
+					require("WAR", a.Data, r, i)
 				}
-				st.lastWrite = t
+				st.lastWrite = i
 				st.readsSince = st.readsSince[:0]
 			}
 		}

@@ -17,13 +17,42 @@ func errorsContaining(fs Findings, substr string) int {
 	return n
 }
 
+// handGraph is a graph wired by hand: named tasks with declared
+// accesses.
+type handGraph struct {
+	runtime.Graph
+	labels []string
+	acc    [][]runtime.Access
+}
+
+func newHandGraph() *handGraph {
+	g := &handGraph{}
+	g.LabelFunc = func(id int) string { return g.labels[id] }
+	g.AccessFunc = func(id int) []runtime.Access { return g.acc[id] }
+	return g
+}
+
+func (g *handGraph) task(label string, acc ...runtime.Access) int32 {
+	g.labels = append(g.labels, label)
+	g.acc = append(g.acc, acc)
+	return g.Add(0)
+}
+
+// TestGraphCleanDTD: the graph dynamic task discovery infers for a
+// write, two reads and a write of one datum — RAW edges into the
+// readers, WAR edges out of them and the WAW edge — is clean.
 func TestGraphCleanDTD(t *testing.T) {
-	in := runtime.NewInserter()
-	in.Insert("w", 0, nil, runtime.W("x"))
-	in.Insert("r1", 0, nil, runtime.R("x"))
-	in.Insert("r2", 0, nil, runtime.R("x"))
-	in.Insert("w2", 0, nil, runtime.W("x"))
-	fs := CheckGraph(in.Graph())
+	g := newHandGraph()
+	w := g.task("w", runtime.W("x"))
+	r1 := g.task("r1", runtime.R("x"))
+	r2 := g.task("r2", runtime.R("x"))
+	w2 := g.task("w2", runtime.W("x"))
+	g.Dep(w, r1)
+	g.Dep(w, r2)
+	g.Dep(w, w2)
+	g.Dep(r1, w2)
+	g.Dep(r2, w2)
+	fs := CheckGraph(&g.Graph)
 	if err := fs.Err(); err != nil {
 		t.Fatalf("clean DTD graph rejected: %v", err)
 	}
@@ -33,24 +62,24 @@ func TestGraphCleanDTD(t *testing.T) {
 }
 
 func TestGraphInjectedCycle(t *testing.T) {
-	g := runtime.NewGraph()
-	a := g.NewTask("a", 0, nil)
-	b := g.NewTask("b", 0, nil)
-	c := g.NewTask("c", 0, nil)
-	g.AddDep(a, b)
-	g.AddDep(b, c)
-	g.AddDep(c, a) // the injected fault
-	fs := CheckGraph(g)
+	g := newHandGraph()
+	a := g.task("a")
+	b := g.task("b")
+	c := g.task("c")
+	g.Dep(a, b)
+	g.Dep(b, c)
+	g.Dep(c, a) // the injected fault
+	fs := CheckGraph(&g.Graph)
 	if errorsContaining(fs, "cycle") == 0 {
 		t.Fatalf("cycle not detected: %v", fs)
 	}
 }
 
 func TestGraphSelfDependency(t *testing.T) {
-	g := runtime.NewGraph()
-	a := g.NewTask("a", 0, nil)
-	g.AddDep(a, a)
-	fs := CheckGraph(g)
+	g := newHandGraph()
+	a := g.task("a")
+	g.Dep(a, a)
+	fs := CheckGraph(&g.Graph)
 	if errorsContaining(fs, "depends on itself") == 0 {
 		t.Fatalf("self-dependency not detected: %v", fs)
 	}
@@ -60,24 +89,20 @@ func TestGraphDroppedRAWEdge(t *testing.T) {
 	// A hand-wired producer/consumer graph that "forgot" the RAW edge:
 	// the accesses say consume reads what produce writes, the edges say
 	// nothing — the verifier must catch the hole.
-	g := runtime.NewGraph()
-	w := g.NewTask("produce", 0, nil)
-	w.DeclareAccesses(runtime.W("x"))
-	r := g.NewTask("consume", 0, nil)
-	r.DeclareAccesses(runtime.R("x"))
-	fs := CheckGraph(g)
+	g := newHandGraph()
+	g.task("produce", runtime.W("x"))
+	g.task("consume", runtime.R("x"))
+	fs := CheckGraph(&g.Graph)
 	if errorsContaining(fs, "missing RAW") == 0 {
 		t.Fatalf("dropped RAW edge not detected: %v", fs)
 	}
 
 	// Adding the edge back heals the graph.
-	g2 := runtime.NewGraph()
-	w2 := g2.NewTask("produce", 0, nil)
-	w2.DeclareAccesses(runtime.W("x"))
-	r2 := g2.NewTask("consume", 0, nil)
-	r2.DeclareAccesses(runtime.R("x"))
-	g2.AddDep(w2, r2)
-	if err := CheckGraph(g2).Err(); err != nil {
+	g2 := newHandGraph()
+	w2 := g2.task("produce", runtime.W("x"))
+	r2 := g2.task("consume", runtime.R("x"))
+	g2.Dep(w2, r2)
+	if err := CheckGraph(&g2.Graph).Err(); err != nil {
 		t.Fatalf("healed graph still rejected: %v", err)
 	}
 }
@@ -86,15 +111,12 @@ func TestGraphDroppedWARAndWAW(t *testing.T) {
 	// w0 -> r (RAW present) but the later writer w1 is ordered against
 	// neither: both the WAR (r -> w1) and WAW (w0 -> w1) paths are
 	// missing.
-	g := runtime.NewGraph()
-	w0 := g.NewTask("w0", 0, nil)
-	w0.DeclareAccesses(runtime.W("x"))
-	r := g.NewTask("r", 0, nil)
-	r.DeclareAccesses(runtime.R("x"))
-	g.AddDep(w0, r)
-	w1 := g.NewTask("w1", 0, nil)
-	w1.DeclareAccesses(runtime.W("x"))
-	fs := CheckGraph(g)
+	g := newHandGraph()
+	w0 := g.task("w0", runtime.W("x"))
+	r := g.task("r", runtime.R("x"))
+	g.Dep(w0, r)
+	g.task("w1", runtime.W("x"))
+	fs := CheckGraph(&g.Graph)
 	if errorsContaining(fs, "missing WAW") == 0 {
 		t.Fatalf("dropped WAW not detected: %v", fs)
 	}
@@ -106,27 +128,24 @@ func TestGraphDroppedWARAndWAW(t *testing.T) {
 func TestGraphTransitiveOrderingAccepted(t *testing.T) {
 	// The hazard check demands a path, not a direct edge: w0 -> r -> w1
 	// orders the WAW w0 -> w1 transitively.
-	g := runtime.NewGraph()
-	w0 := g.NewTask("w0", 0, nil)
-	w0.DeclareAccesses(runtime.W("x"))
-	r := g.NewTask("r", 0, nil)
-	r.DeclareAccesses(runtime.R("x"))
-	w1 := g.NewTask("w1", 0, nil)
-	w1.DeclareAccesses(runtime.W("x"))
-	g.AddDep(w0, r)
-	g.AddDep(r, w1)
-	if err := CheckGraph(g).Err(); err != nil {
+	g := newHandGraph()
+	w0 := g.task("w0", runtime.W("x"))
+	r := g.task("r", runtime.R("x"))
+	w1 := g.task("w1", runtime.W("x"))
+	g.Dep(w0, r)
+	g.Dep(r, w1)
+	if err := CheckGraph(&g.Graph).Err(); err != nil {
 		t.Fatalf("transitively ordered graph rejected: %v", err)
 	}
 }
 
 func TestGraphDuplicateEdgeWarning(t *testing.T) {
-	g := runtime.NewGraph()
-	a := g.NewTask("a", 0, nil)
-	b := g.NewTask("b", 0, nil)
-	g.AddDep(a, b)
-	g.AddDep(a, b)
-	fs := CheckGraph(g)
+	g := newHandGraph()
+	a := g.task("a")
+	b := g.task("b")
+	g.Dep(a, b)
+	g.Dep(a, b)
+	fs := CheckGraph(&g.Graph)
 	if err := fs.Err(); err != nil {
 		t.Fatalf("duplicate edge must not be fatal: %v", err)
 	}
@@ -142,12 +161,12 @@ func TestGraphDuplicateEdgeWarning(t *testing.T) {
 }
 
 func TestGraphIsolatedTaskWarning(t *testing.T) {
-	g := runtime.NewGraph()
-	a := g.NewTask("a", 0, nil)
-	b := g.NewTask("b", 0, nil)
-	g.NewTask("orphan", 0, nil)
-	g.AddDep(a, b)
-	fs := CheckGraph(g)
+	g := newHandGraph()
+	a := g.task("a")
+	b := g.task("b")
+	g.task("orphan")
+	g.Dep(a, b)
+	fs := CheckGraph(&g.Graph)
 	if err := fs.Err(); err != nil {
 		t.Fatalf("isolated task must not be fatal: %v", err)
 	}
@@ -165,11 +184,11 @@ func TestGraphIsolatedTaskWarning(t *testing.T) {
 func TestGraphEdgelessGraphNotFlagged(t *testing.T) {
 	// A pure fan-out graph (tile-by-tile compression) has no edges and
 	// must not be drowned in isolated-task warnings.
-	g := runtime.NewGraph()
+	g := newHandGraph()
 	for i := 0; i < 5; i++ {
-		g.NewTask("compress", 0, nil)
+		g.task("compress")
 	}
-	if fs := CheckGraph(g); len(fs) != 0 {
+	if fs := CheckGraph(&g.Graph); len(fs) != 0 {
 		t.Fatalf("edgeless graph flagged: %v", fs)
 	}
 }

@@ -3,7 +3,7 @@
 // task graphs built over it. The paper's central risk is
 // silent incorrectness: DAG trimming (Section VI, Algorithm 1) deletes
 // tasks and dependencies before the runtime ever sees them, and the
-// DTD front end infers edges from declared accesses — a missing
+// graph builders wire edges the runtime trusts blindly — a missing
 // RAW/WAR/WAW edge or an over-trimmed tile produces wrong numbers
 // nondeterministically, not a crash. Each pass here proves, before
 // execution, one property the runtime silently assumes:

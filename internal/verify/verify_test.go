@@ -31,7 +31,7 @@ func TestVerifyCoreGraphs(t *testing.T) {
 		{name: "ldlt-trimmed", opts: core.Options{Tol: 1e-8}, trim: true, form: tilemat.FormLDLt},
 	} {
 		s := core.Structure(m, tc.trim)
-		g := core.BuildGraph(m, s, tc.opts, tc.form)
+		g, _ := core.BuildGraph(m, s, tc.opts, tc.form)
 		fs := CheckGraph(g)
 		if err := fs.Err(); err != nil {
 			t.Fatalf("%s: core graph rejected: %v", tc.name, err)
@@ -53,7 +53,7 @@ func TestVerifyTrimPipeline(t *testing.T) {
 	}
 	// The graph built over the verified structure is itself clean. Only
 	// the tile grid is read at build time; the bodies never run.
-	g := core.BuildGraph(tilemat.New(12*8, 8), a, core.Options{Tol: 1e-8}, tilemat.FormCholesky)
+	g, _ := core.BuildGraph(tilemat.New(12*8, 8), a, core.Options{Tol: 1e-8}, tilemat.FormCholesky)
 	if err := CheckGraph(g).Err(); err != nil {
 		t.Fatalf("graph over verified structure rejected: %v", err)
 	}

@@ -2,10 +2,12 @@
 # check.sh — the repo's single verification gate: build, vet, the
 # type-checked static analysis suite (cmd/lint, findings archived as
 # JSON), race-detector tests on the concurrency-critical packages (the
-# task runtime, the static verifier's own suite and the lint driver
-# itself), then the full test suite, which includes the
+# task executor and the compression, factorization and planned solve
+# that run on it, the static verifier's own suite, the metrics and
+# tracing layer, the virtual cluster, the solve service and the lint
+# driver itself), then the full test suite, which includes the
 # verifier self-checks in internal/verify, and finally a one-iteration
-# benchmark smoke run so the perf harness itself cannot bit-rot.
+# run of the Go micro-benchmarks so they cannot bit-rot.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -75,9 +77,12 @@ echo "== full test suite"
 go test ./...
 
 echo "== observability smoke gate"
-# The tracing-off hot path must stay allocation-free, and a traced run
-# must export a valid Chrome trace covering every executed task.
+# The tracing-off hot path must stay allocation-free, a parallel
+# factorization must allocate at most 1.5x the sequential one (the task
+# executor costs nothing per task), and a traced run must export a
+# valid Chrome trace covering every executed task.
 go test -run 'TestDisabledHotPathZeroAlloc' ./internal/obs
+go test -run 'TestFactorizeAllocs' ./internal/core
 go test -run 'TestObsSmoke' .
 obs_trace="$(mktemp /tmp/tlrchol-trace.XXXXXX.json)"
 tmp_files+=("$obs_trace")
@@ -99,9 +104,10 @@ echo "$dist_out" | grep -q 'sim prediction' || {
 
 echo "== solve scheduler gate"
 # The planned parallel substitution must reproduce the sequential bits
-# under the race detector, and cancellation mid-sweep must join every
-# worker. These are the two properties the whole scheduler rests on.
-go test -race -run 'TestSolvePlannedBitwise|TestSolvePlannedCancel' ./internal/core
+# under the race detector, and cancellation mid-sweep or a kernel panic
+# must come back as an error after every worker has been joined. These
+# are the properties the whole scheduler rests on.
+go test -race -run 'TestSolvePlannedBitwise|TestSolvePlannedCancel|TestSolvePlannedPanicIsError' ./internal/core
 
 echo "== solve service smoke gate"
 # A real tlrserve on a random port must: factorize once for 8
@@ -262,7 +268,7 @@ echo "$kernels_out" | grep -q '^data sparsity: .* capped 0$' || {
     echo "check.sh: a Jacobi SVD ended on its sweep cap (or the summary lost the count):" >&2
     echo "$kernels_out" >&2; exit 1; }
 
-echo "== benchmark smoke run (1 iteration per benchmark)"
+echo "== micro-benchmark smoke run (1 iteration per benchmark)"
 go test -run '^$' -bench=. -benchtime=1x . > /dev/null
 
 echo "check.sh: all gates passed"
