@@ -2,8 +2,8 @@
 // that factorizes kernel operators on demand, caches the factors by
 // problem fingerprint, coalesces concurrent solves into blocked
 // multi-RHS substitutions and sheds load with 429s when full. With
-// -shards N it runs a fleet: N shards behind a fingerprint router with
-// fleet-wide single-flight and hot-factor replication. With -loadgen
+// -shards N the one front end routes over N shards by fingerprint, with
+// service-wide single-flight and hot-factor replication. With -loadgen
 // it instead drives such a server (its own in-process one by default)
 // with an open-loop request stream — optionally multi-tenant, with
 // Zipf-distributed problem popularity and mixed factorize/solve
@@ -99,18 +99,18 @@ func main() {
 		cfg.AccessLog = f
 	}
 
-	// newHandler builds the service: a single Server, or a fleet of
-	// shards behind the fingerprint router.
+	// newHandler builds the service: one shard, or a fleet of shards
+	// behind the fingerprint router.
 	newHandler := func() (http.Handler, string) {
 		if *shards > 0 {
-			fl := serve.NewFleet(serve.FleetConfig{
+			s := serve.NewFleet(serve.FleetConfig{
 				Shards:        *shards,
 				Replicas:      *replicas,
 				PromoteAfter:  *promoteAfter,
 				PromoteWindow: *promoteWindow,
 				Shard:         cfg,
 			})
-			return fl.Handler(), fmt.Sprintf("fleet of %d shards (%d replicas per hot factor)", fl.NumShards(), *replicas)
+			return s.Handler(), fmt.Sprintf("fleet of %d shards (%d replicas per hot factor)", *shards, *replicas)
 		}
 		return serve.New(cfg).Handler(), "single server"
 	}
@@ -178,8 +178,7 @@ type loadgenConfig struct {
 // runLoadgen fires an open-loop request stream (arrivals on a fixed
 // clock, independent of completions — the schedule a latency SLO is
 // measured against) and reports percentiles plus server-side cache,
-// batching and — in fleet mode — routing and replication
-// effectiveness.
+// batching, routing and replication effectiveness.
 func runLoadgen(newHandler func() (http.Handler, string), target string, lg loadgenConfig) int {
 	if target == "" {
 		h, mode := newHandler()
@@ -389,45 +388,32 @@ func runLoadgen(newHandler func() (http.Handler, string), target string, lg load
 		}
 	}
 
-	// Server-side accounting: the fleet report (per-shard skew,
-	// single-flight totals, replication) when the target is a fleet,
-	// the single-server cache report otherwise.
+	// Server-side accounting: cache economy, per-shard skew, routing
+	// and replication, and the p99 breakdown.
 	if resp, err := http.Get(target + "/v1/stats"); err == nil {
-		body, _ := io.ReadAll(resp.Body)
+		var st serve.StatsResponse
+		err := json.NewDecoder(resp.Body).Decode(&st)
 		resp.Body.Close()
-		var fst serve.FleetStatsResponse
-		if json.Unmarshal(body, &fst) == nil && len(fst.Shards) > 0 {
-			reportFleet(fst)
-		} else {
-			var st serve.StatsResponse
-			if json.Unmarshal(body, &st) == nil {
-				refs := st.Cache.Hits + st.Cache.Waits + st.Cache.Misses
-				if refs > 0 {
-					fmt.Printf("factor cache: %.1f%% hit rate (%d hits, %d singleflight waits, %d misses, %d factorization runs)\n",
-						100*float64(st.Cache.Hits+st.Cache.Waits)/float64(refs),
-						st.Cache.Hits, st.Cache.Waits, st.Cache.Misses, st.Totals["serve.factorize.runs"])
-				}
-				if st.Request.Count > 0 {
-					p := st.Request.P99
-					fmt.Printf("p99 breakdown (trace %s): e2e %.3fms = queue %.3f + factor %.3f + batch-wait %.3f + subst %.3f + refine %.3f + resid %.3f + other %.3f\n",
-						p.TraceID, p.E2EMS, p.QueueMS, p.FactorMS, p.BatchWaitMS, p.SubstMS, p.RefineMS, p.ResidMS, p.OtherMS)
-				}
-			}
+		if err == nil {
+			report(st)
 		}
 	}
 	return 0
 }
 
-// reportFleet prints the fleet-side view of the run: fleet p99, the
-// per-shard load split (skew = hottest shard over the mean), and how
-// much traffic replication absorbed.
-func reportFleet(fst serve.FleetStatsResponse) {
-	fmt.Printf("fleet: %d shards, %d factorization runs fleet-wide (%d single-flight waits, %d cache hits)\n",
-		len(fst.Shards), fst.SingleFlight.FactorizeRuns, fst.SingleFlight.Waits, fst.SingleFlight.CacheHits)
-	var sum, max uint64
-	for _, sh := range fst.Shards {
+// report prints the service-side view of the run: the cache hit rate,
+// the per-shard load split (skew = hottest shard over the mean), how
+// much traffic routing and replication absorbed, and the p99
+// breakdown.
+func report(st serve.StatsResponse) {
+	if refs := st.Cache.Hits + st.Cache.Waits + st.Cache.Misses; refs > 0 {
+		fmt.Printf("factor cache: %.1f%% hit rate (%d hits, %d singleflight waits, %d misses, %d factorization runs)\n",
+			100*float64(st.Cache.Hits+st.Cache.Waits)/float64(refs),
+			st.Cache.Hits, st.Cache.Waits, st.Cache.Misses, st.SingleFlight.FactorizeRuns)
+	}
+	var max uint64
+	for _, sh := range st.Shards {
 		acc := sh.Admission.Accepted
-		sum += acc
 		if acc > max {
 			max = acc
 		}
@@ -439,17 +425,17 @@ func reportFleet(fst serve.FleetStatsResponse) {
 			sh.ID, drain, acc, sh.Admission.Rejected, sh.Cache.Entries, sh.Cache.Evictions,
 			sh.Replica.Factors, sh.Replica.Hits, sh.FactorizeRuns)
 	}
-	if sum > 0 && len(fst.Shards) > 0 {
-		mean := float64(sum) / float64(len(fst.Shards))
+	if sum := st.Admission.Accepted; sum > 0 && len(st.Shards) > 0 {
+		mean := float64(sum) / float64(len(st.Shards))
 		fmt.Printf("load skew: hottest shard %.2fx mean (%d of %d accepted)\n", float64(max)/mean, max, sum)
 	}
-	fmt.Printf("router: %d requests, %d fallback re-routes, %d fleet-wide rejections, %d replica serves\n",
-		fst.Router.Requests, fst.Router.Fallbacks, fst.Router.Rejected, fst.Router.ReplicaServes)
+	fmt.Printf("router: %d requests, %d fallback re-routes, %d rejections, %d replica serves\n",
+		st.Router.Requests, st.Router.Fallbacks, st.Router.Rejected, st.Router.ReplicaServes)
 	fmt.Printf("replication: %d promotions, %d drops, %d active replicas\n",
-		fst.Replication.Promotions, fst.Replication.Drops, fst.Replication.Active)
-	if fst.Request.Count > 0 {
-		p := fst.Request.P99
-		fmt.Printf("fleet p99 breakdown (trace %s): e2e %.3fms = queue %.3f + factor %.3f + batch-wait %.3f + subst %.3f + refine %.3f + resid %.3f + other %.3f\n",
+		st.Replication.Promotions, st.Replication.Drops, st.Replication.Active)
+	if st.Request.Count > 0 {
+		p := st.Request.P99
+		fmt.Printf("p99 breakdown (trace %s): e2e %.3fms = queue %.3f + factor %.3f + batch-wait %.3f + subst %.3f + refine %.3f + resid %.3f + other %.3f\n",
 			p.TraceID, p.E2EMS, p.QueueMS, p.FactorMS, p.BatchWaitMS, p.SubstMS, p.RefineMS, p.ResidMS, p.OtherMS)
 	}
 }

@@ -242,11 +242,7 @@ func (b *Batcher) execute(f *Factor, p SolveParams, jobs []*solveJob) {
 		// RefineResult.SubstTime isolates the pure substitution share so
 		// the latency breakdown separates subst from refine overhead.
 		var res core.RefineResult
-		if f.Plan != nil {
-			res, err = f.Plan.RefineCtx(ctx, f.L, core.TLROperator{M: f.Op}, wide, p.MaxIter, p.Target, b.workers)
-		} else {
-			res, err = core.RefineCtx(ctx, f.L, core.TLROperator{M: f.Op}, wide, p.MaxIter, p.Target)
-		}
+		res, err = f.Plan.RefineCtx(ctx, f.L, core.TLROperator{M: f.Op}, wide, p.MaxIter, p.Target, b.workers)
 		subst = res.SubstTime
 		if err == nil {
 			residuals, iterations = res.ColResiduals, res.ColIterations
@@ -254,11 +250,7 @@ func (b *Batcher) execute(f *Factor, p SolveParams, jobs []*solveJob) {
 	} else {
 		rhs := wide.Clone()
 		substStart := time.Now()
-		if f.Plan != nil {
-			err = f.Plan.SolveCtx(ctx, f.L, wide, b.workers)
-		} else {
-			err = core.SolveCtx(ctx, f.L, wide)
-		}
+		err = f.Plan.SolveCtx(ctx, f.L, wide, b.workers)
 		subst = time.Since(substStart)
 		if err == nil {
 			residuals = core.ColumnResiduals(core.TLROperator{M: f.Op}, wide, rhs)

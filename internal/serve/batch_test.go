@@ -11,23 +11,21 @@ import (
 	"tlrchol/internal/core"
 	"tlrchol/internal/dense"
 	"tlrchol/internal/obs"
-	"tlrchol/internal/tilemat"
 )
 
-// buildTestFactor factorizes a small RBF problem through the same path
-// the server uses.
+// buildTestFactor factorizes a small RBF problem through the shard's
+// own build path, so it carries a SolvePlan like every served factor.
 func buildTestFactor(t testing.TB, n int) *Factor {
 	t.Helper()
 	sp := testSpec(n)
 	pts := sp.points()
-	fp := Fingerprint(sp, pts)
-	prob, _ := sp.problem(pts)
-	m, _ := tilemat.FromAssembler(sp.N, sp.Tile, prob.Block, sp.Tol, 0)
-	op := m.Clone()
-	if _, err := core.Factorize(m, core.Options{Tol: sp.Tol, Trim: true, Sequential: true}); err != nil {
+	cfg := Config{Metrics: obs.NewRegistry(4)}
+	cfg.defaults()
+	f, err := newShard(0, cfg, cfg.Metrics).buildFactor(nil, sp, pts, Fingerprint(sp, pts))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return &Factor{FP: fp, Spec: sp, L: m, Op: op, SizeBytes: int64(m.Bytes() + op.Bytes())}
+	return f
 }
 
 // TestBatcherCoalesce: 8 concurrent single-column solves against one

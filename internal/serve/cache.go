@@ -3,6 +3,8 @@ package serve
 import (
 	"container/list"
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -30,10 +32,8 @@ type Factor struct {
 	// Op is the unfactorized compressed operator (for TLROperator).
 	Op *tilemat.Matrix
 	// Plan is the precomputed substitution schedule for L, built under
-	// the same single-flight as the factor and evicted with it. Solves
-	// against this factor route through it; a nil plan (older tests
-	// construct Factor literals) falls back to the auto-dispatching
-	// core solve.
+	// the same single-flight as the factor and evicted with it. Every
+	// solve against this factor runs through it.
 	Plan *core.SolvePlan
 	// SizeBytes charges both matrices and the plan against the cache
 	// budget.
@@ -145,9 +145,9 @@ type FactorCache struct {
 	entries map[string]*cacheEntry
 	lru     *list.List // of fingerprint strings, front = most recent
 
-	// onEvict, when set (fleet mode), is called outside the cache lock
-	// for every evicted fingerprint — the hook that keeps replica
-	// eviction owner-coordinated.
+	// onEvict, when set, is called outside the cache lock for every
+	// evicted fingerprint — the hook that keeps replica eviction
+	// owner-coordinated.
 	onEvict func(fp string, f *Factor)
 
 	hits, misses, waits, evictions *obs.Counter
@@ -182,8 +182,9 @@ func (c *FactorCache) SetOnEvict(fn func(fp string, f *Factor)) { c.onEvict = fn
 // runs build, the rest block on the entry's ready channel (or their
 // own ctx). cached reports whether this caller avoided running build.
 // A failed build is not cached; the error propagates to every waiter
-// of that flight and the next Get retries. The returned factor is
-// pinned for the caller (Release when done with it).
+// of that flight and the next Get retries. A build that panics fails
+// the same way, with an error wrapping errBuildPanicked. The returned
+// factor is pinned for the caller (Release when done with it).
 func (c *FactorCache) Get(ctx context.Context, fp string, build func() (*Factor, error)) (*Factor, bool, error) {
 	for {
 		c.mu.Lock()
@@ -220,7 +221,7 @@ func (c *FactorCache) Get(ctx context.Context, fp string, build func() (*Factor,
 		c.mu.Unlock()
 		c.misses.Add(0, 1)
 
-		f, err := build()
+		f, err := runBuild(build)
 
 		var evicted []evictedFactor
 		c.mu.Lock()
@@ -245,6 +246,23 @@ func (c *FactorCache) Get(ctx context.Context, fp string, build func() (*Factor,
 		}
 		return f, false, nil
 	}
+}
+
+// errBuildPanicked marks a factor build that panicked: a bug, not a bad
+// request, so the service answers 500.
+var errBuildPanicked = errors.New("factor build panicked")
+
+// runBuild calls build and turns a panic into an error, so that the
+// flight's entry is still removed and its waiters released: a panic
+// that escaped Get would leave the entry in the map with ready never
+// closed, and every later Get for that fingerprint would block.
+func runBuild(build func() (*Factor, error)) (f *Factor, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			f, err = nil, fmt.Errorf("%w: %v", errBuildPanicked, p)
+		}
+	}()
+	return build()
 }
 
 // Lookup returns a completed factor without building, pinned for the
@@ -291,7 +309,7 @@ func (c *FactorCache) evictLocked() []evictedFactor {
 }
 
 // finishEvictions completes evictions outside the cache lock: the
-// fleet hook drops replicas first (owner-coordinated eviction), then
+// eviction hook drops replicas first (owner-coordinated eviction), then
 // the cache's own reference goes away. A factor still pinned by an
 // in-flight solve survives until that solve releases it.
 func (c *FactorCache) finishEvictions(evs []evictedFactor) {

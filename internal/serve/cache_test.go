@@ -2,6 +2,9 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -146,5 +149,58 @@ func TestCacheBuildError(t *testing.T) {
 	})
 	if err != nil || cached || f == nil {
 		t.Fatalf("retry after failure: f=%v cached=%v err=%v", f, cached, err)
+	}
+}
+
+// TestCacheBuildPanic: a build that panics must not poison its entry.
+// The builder and every waiter of that flight get an error (which the
+// service answers with 500), and the next Get rebuilds instead of
+// blocking on a ready channel that never closes.
+func TestCacheBuildPanic(t *testing.T) {
+	c := NewFactorCache(1<<20, obs.NewRegistry(4))
+	release := make(chan struct{})
+	building := make(chan struct{})
+	var leaderErr error
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		defer func() {
+			if p := recover(); p != nil {
+				leaderErr = fmt.Errorf("panic escaped Get: %v", p)
+			}
+		}()
+		_, _, leaderErr = c.Get(context.Background(), "boom", func() (*Factor, error) {
+			close(building)
+			<-release
+			panic("kernel blew up")
+		})
+	}()
+	<-building
+	waiterErr := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_, _, err := c.Get(ctx, "boom", func() (*Factor, error) { return dummyFactor("boom", 10), nil })
+		waiterErr <- err
+	}()
+	for c.Stats().Waits == 0 { // the waiter is parked on the flight
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	<-leaderDone
+	for _, err := range []error{leaderErr, <-waiterErr} {
+		if err == nil || !strings.Contains(err.Error(), "kernel blew up") || strings.Contains(err.Error(), "escaped") {
+			t.Fatalf("want the build's panic as an error from Get, got %v", err)
+		}
+		if code := factorAPIError(err).code; code != http.StatusInternalServerError {
+			t.Fatalf("a panicked build must answer 500, got %d", code)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	f, cached, err := c.Get(ctx, "boom", func() (*Factor, error) { return dummyFactor("boom", 10), nil })
+	if err != nil || cached || f == nil {
+		t.Fatalf("Get after a panicked build must rebuild: f=%v cached=%v err=%v", f, cached, err)
 	}
 }

@@ -16,7 +16,7 @@ import (
 	"tlrchol/internal/obs"
 )
 
-func newTestFleet(t *testing.T, mut func(*FleetConfig)) (*Fleet, *httptest.Server) {
+func newTestFleet(t *testing.T, mut func(*FleetConfig)) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg := FleetConfig{
 		Shards:  3,
@@ -38,13 +38,13 @@ func newTestFleet(t *testing.T, mut func(*FleetConfig)) (*Fleet, *httptest.Serve
 
 // fleetFP computes the routing fingerprint for a spec the way the
 // router does.
-func fleetFP(t *testing.T, fl *Fleet, sp ProblemSpec) string {
+func fleetFP(t *testing.T, fl *Server, sp ProblemSpec) string {
 	t.Helper()
-	fp, err := fl.routeFP(&sp)
+	k, err := fl.key(&sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fp
+	return k.fp
 }
 
 // TestFleetKeystone is the fleet acceptance scenario: 16 concurrent
@@ -292,5 +292,42 @@ func TestFleetRetryAfterOn429(t *testing.T) {
 	}
 	if st := fl.Stats(); st.Router.Rejected == 0 {
 		t.Fatalf("fleet-wide rejection must be counted: %+v", st.Router)
+	}
+}
+
+// TestStatsServiceWide: the top-level /v1/stats views are service-wide.
+// A fleet's cache, admission and counter totals are the sums of its
+// shards', and a single server's are its one shard's.
+func TestStatsServiceWide(t *testing.T) {
+	fl, fts := newTestFleet(t, func(c *FleetConfig) { c.Replicas = -1 })
+	solo, sts := newTestServer(t, nil)
+	for _, ts := range []string{fts.URL, sts.URL} {
+		for seed := int64(42); seed < 45; seed++ {
+			spec := ProblemSpec{N: 128, Tile: 64, Tol: 1e-7, Seed: seed}
+			if resp, body := postJSON(t, ts+"/v1/solve", SolveRequest{Problem: &spec, NRHS: 1}); resp.StatusCode != http.StatusOK {
+				t.Fatalf("solve: %d: %s", resp.StatusCode, body)
+			}
+		}
+	}
+	for name, s := range map[string]*Server{"fleet": fl, "single": solo} {
+		st := s.Stats()
+		var misses, accepted, runs uint64
+		for _, sh := range st.Shards {
+			misses += sh.Cache.Misses
+			accepted += sh.Admission.Accepted
+			runs += sh.FactorizeRuns
+		}
+		if st.Cache.Misses != 3 || misses != 3 || st.Admission.Accepted != accepted || runs != 3 {
+			t.Fatalf("%s: top-level cache/admission must sum the shard rows: %+v vs %+v", name, st.Cache, st.Shards)
+		}
+		if st.Totals["serve.factorize.runs"] != 3 || st.SingleFlight.FactorizeRuns != 3 || st.SolveOnly.Count != 3 {
+			t.Fatalf("%s: totals %v, single-flight %+v, solve-only %+v", name, st.Totals, st.SingleFlight, st.SolveOnly)
+		}
+		if st.Router.Requests != 3 || st.Window["serve.solve.requests"] != 3 {
+			t.Fatalf("%s: router %+v, window %v", name, st.Router, st.Window)
+		}
+	}
+	if got := len(solo.Stats().Shards); got != 1 {
+		t.Fatalf("a single server reports %d shard rows, want 1", got)
 	}
 }

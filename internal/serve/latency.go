@@ -5,91 +5,93 @@ import (
 	"sync"
 )
 
-// latencyRing keeps the most recent substitution-only latencies (the
-// time spent inside the triangular sweeps, excluding cache waits and
-// batcher windows) and reports nearest-rank percentiles over that
-// window. A fixed ring bounds memory for a long-lived server while
-// staying responsive to workload shifts; the histogram in the metrics
-// registry keeps the lifetime view.
-type latencyRing struct {
+// ring keeps the most recent samples of one latency series and a
+// lifetime count. A fixed window bounds memory for a long-lived server
+// while staying responsive to workload shifts; the histograms in the
+// metrics registry keep the lifetime view. Two series use it: the
+// substitution-only latencies of each shard (the time inside the
+// triangular sweeps, excluding cache waits and batcher windows) and the
+// front end's end-to-end request breakdowns.
+type ring[T any] struct {
 	mu    sync.Mutex
-	buf   []float64
+	buf   []T
 	next  int
 	count uint64
 }
 
-// newLatencyRing returns a ring over the last size samples (≤ 0 means
-// 1024).
-func newLatencyRing(size int) *latencyRing {
+// newRing returns a ring over the last size samples (≤ 0 means 1024).
+func newRing[T any](size int) *ring[T] {
 	if size <= 0 {
 		size = 1024
 	}
-	return &latencyRing{buf: make([]float64, 0, size)}
+	return &ring[T]{buf: make([]T, 0, size)}
 }
 
-// Record adds one latency sample in milliseconds.
-func (l *latencyRing) Record(ms float64) {
+// Record adds one sample.
+func (l *ring[T]) Record(v T) {
 	l.mu.Lock()
 	if len(l.buf) < cap(l.buf) {
-		l.buf = append(l.buf, ms)
+		l.buf = append(l.buf, v)
 	} else {
-		l.buf[l.next] = ms
+		l.buf[l.next] = v
 	}
 	l.next = (l.next + 1) % cap(l.buf)
 	l.count++
 	l.mu.Unlock()
 }
 
+// window appends the ring's current samples to dst and returns it with
+// the lifetime sample count.
+func (l *ring[T]) window(dst []T) ([]T, uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append(dst, l.buf...), l.count
+}
+
+// nearestRanks sorts samples by less and returns the nearest-rank
+// p50, p95 and p99. samples must not be empty.
+func nearestRanks[T any](samples []T, less func(a, b T) bool) (p50, p95, p99 T) {
+	sort.Slice(samples, func(i, j int) bool { return less(samples[i], samples[j]) })
+	rank := func(p float64) T {
+		i := int(p*float64(len(samples))+0.5) - 1
+		return samples[max(0, min(i, len(samples)-1))]
+	}
+	return rank(0.50), rank(0.95), rank(0.99)
+}
+
 // SolveLatencyStats is the /v1/stats view of recent solve-only latency.
 type SolveLatencyStats struct {
 	// Count is the lifetime number of recorded solves; the percentiles
-	// cover only the ring window (the most recent samples).
+	// cover only the ring windows (the most recent samples).
 	Count uint64  `json:"count"`
 	P50MS float64 `json:"p50_ms"`
 	P95MS float64 `json:"p95_ms"`
 	P99MS float64 `json:"p99_ms"`
 }
 
-// breakdownRing keeps the most recent end-to-end request breakdowns.
-// Where latencyRing answers "how fast are substitutions", this ring
-// answers "how fast are requests, and where does the time go": each
-// retained sample is a full BreakdownMS, so a percentile report can
-// show the decomposition of an actual request at that rank rather
-// than averaging components across requests (averages of phases do
-// not sum to percentiles of totals).
-type breakdownRing struct {
-	mu    sync.Mutex
-	buf   []BreakdownMS
-	next  int
-	count uint64
-}
-
-// newBreakdownRing returns a ring over the last size samples (≤ 0
-// means 1024).
-func newBreakdownRing(size int) *breakdownRing {
-	if size <= 0 {
-		size = 1024
+// solveLatencyStats reports percentiles over the union of the rings'
+// windows.
+func solveLatencyStats(rings ...*ring[float64]) SolveLatencyStats {
+	var (
+		all []float64
+		out SolveLatencyStats
+	)
+	for _, r := range rings {
+		var n uint64
+		all, n = r.window(all)
+		out.Count += n
 	}
-	return &breakdownRing{buf: make([]BreakdownMS, 0, size)}
-}
-
-// Record adds one completed request's breakdown.
-func (l *breakdownRing) Record(bd BreakdownMS) {
-	l.mu.Lock()
-	if len(l.buf) < cap(l.buf) {
-		l.buf = append(l.buf, bd)
-	} else {
-		l.buf[l.next] = bd
+	if len(all) > 0 {
+		out.P50MS, out.P95MS, out.P99MS = nearestRanks(all, func(a, b float64) bool { return a < b })
 	}
-	l.next = (l.next + 1) % cap(l.buf)
-	l.count++
-	l.mu.Unlock()
+	return out
 }
 
 // RequestLatencyStats is the /v1/stats view of recent end-to-end
 // request latency. Each percentile row is the breakdown of the actual
 // request at that rank (carrying its trace id, so a spiking p99 leads
-// straight to /v1/trace/<id>), not an aggregate of components.
+// straight to /v1/trace/<id>), not an aggregate of components: averages
+// of phases do not sum to percentiles of totals.
 type RequestLatencyStats struct {
 	Count uint64      `json:"count"`
 	P50   BreakdownMS `json:"p50"`
@@ -97,56 +99,12 @@ type RequestLatencyStats struct {
 	P99   BreakdownMS `json:"p99"`
 }
 
-// Stats computes nearest-rank percentiles over the current window.
-func (l *breakdownRing) Stats() RequestLatencyStats {
-	l.mu.Lock()
-	sorted := append([]BreakdownMS(nil), l.buf...)
-	count := l.count
-	l.mu.Unlock()
-	out := RequestLatencyStats{Count: count}
-	if len(sorted) == 0 {
-		return out
+// requestLatencyStats ranks the ring's breakdowns by end-to-end time.
+func requestLatencyStats(r *ring[BreakdownMS]) RequestLatencyStats {
+	all, n := r.window(nil)
+	out := RequestLatencyStats{Count: n}
+	if len(all) > 0 {
+		out.P50, out.P95, out.P99 = nearestRanks(all, func(a, b BreakdownMS) bool { return a.E2EMS < b.E2EMS })
 	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].E2EMS < sorted[j].E2EMS })
-	rank := func(p float64) BreakdownMS {
-		i := int(p*float64(len(sorted))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(sorted) {
-			i = len(sorted) - 1
-		}
-		return sorted[i]
-	}
-	out.P50 = rank(0.50)
-	out.P95 = rank(0.95)
-	out.P99 = rank(0.99)
-	return out
-}
-
-// Stats computes nearest-rank percentiles over the current window.
-func (l *latencyRing) Stats() SolveLatencyStats {
-	l.mu.Lock()
-	sorted := append([]float64(nil), l.buf...)
-	count := l.count
-	l.mu.Unlock()
-	out := SolveLatencyStats{Count: count}
-	if len(sorted) == 0 {
-		return out
-	}
-	sort.Float64s(sorted)
-	rank := func(p float64) float64 {
-		i := int(p*float64(len(sorted))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(sorted) {
-			i = len(sorted) - 1
-		}
-		return sorted[i]
-	}
-	out.P50MS = rank(0.50)
-	out.P95MS = rank(0.95)
-	out.P99MS = rank(0.99)
 	return out
 }

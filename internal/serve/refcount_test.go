@@ -28,7 +28,7 @@ func TestCacheEvictionUnderConcurrentSolves(t *testing.T) {
 	// entry, so "rebuilding" after eviction is free and the churn rate
 	// stays high. free() nils only the wrapper's pointers.
 	newHot := func() (*Factor, error) {
-		return &Factor{FP: "hot", Spec: base.Spec, L: base.L, Op: base.Op, SizeBytes: 200}, nil
+		return &Factor{FP: "hot", Spec: base.Spec, L: base.L, Op: base.Op, Plan: base.Plan, SizeBytes: 200}, nil
 	}
 	rhs := dense.Random(rand.New(rand.NewSource(3)), n, 1)
 

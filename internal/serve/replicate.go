@@ -12,7 +12,7 @@ import (
 // every fingerprint exactly one owner shard, which is correct for
 // single-flight economy but turns a popular problem into a hot spot:
 // all its solves land on one shard while the rest idle. The replicator
-// watches per-fingerprint solve rates at the fleet router and, past a
+// watches per-fingerprint solve rates at the router and, past a
 // threshold, copies the factor's in-memory handle onto the next K
 // shards of the fingerprint's rendezvous order. Replica holders serve
 // solves entirely locally (no owner hop); the router spreads a hot
@@ -27,7 +27,8 @@ import (
 // away, so a factor never lingers as an orphaned replica after the
 // owner has moved on.
 
-// ReplicaStats is the per-shard replica view in /v1/stats.
+// ReplicaStats is a replica-store view in /v1/stats: per shard, and
+// summed over the shards.
 type ReplicaStats struct {
 	Factors int    `json:"factors"`
 	Hits    uint64 `json:"hits"`
@@ -109,12 +110,12 @@ type hotness struct {
 	since time.Time
 }
 
-// replicator tracks fingerprint popularity at the fleet router and
+// replicator tracks fingerprint popularity at the router and
 // promotes hot factors to replicas. All decisions happen under one
 // mutex ordered strictly after any shard cache's (the eviction hook
 // runs outside the cache lock).
 type replicator struct {
-	fleet     *Fleet
+	srv       *Server
 	k         int           // replicas per hot fingerprint
 	threshold int           // solves within window that trigger promotion
 	window    time.Duration // popularity decay window
@@ -128,9 +129,9 @@ type replicator struct {
 	errs       *obs.Counter
 }
 
-func newReplicator(fl *Fleet, k, threshold int, window time.Duration, reg *obs.Registry) *replicator {
+func newReplicator(srv *Server, k, threshold int, window time.Duration, reg *obs.Registry) *replicator {
 	return &replicator{
-		fleet:      fl,
+		srv:        srv,
 		k:          k,
 		threshold:  threshold,
 		window:     window,
@@ -169,8 +170,8 @@ func (r *replicator) noteSolve(fp string, owner int) {
 // holding the replica are skipped, and holder bookkeeping dedupes under
 // the replicator lock.
 func (r *replicator) promote(fp string, owner int) {
-	fl := r.fleet
-	f, ok := fl.shards[owner].cache.Lookup(fp)
+	srv := r.srv
+	f, ok := srv.shards[owner].cache.Lookup(fp)
 	if !ok {
 		// Evicted between the solve and the promotion — nothing to copy.
 		r.errs.Add(0, 1)
@@ -179,8 +180,8 @@ func (r *replicator) promote(fp string, owner int) {
 	defer f.Release()
 
 	targets := make([]int, 0, r.k)
-	for _, id := range fl.rendezvous(fp) {
-		if id == owner || fl.isDraining(id) {
+	for _, id := range srv.rendezvous(fp) {
+		if id == owner || srv.isDraining(id) {
 			continue
 		}
 		targets = append(targets, id)
@@ -205,7 +206,7 @@ func (r *replicator) promote(fp string, owner int) {
 	r.mu.Unlock()
 
 	for _, id := range fresh {
-		fl.shards[id].replicas.install(fp, f)
+		srv.shards[id].replicas.install(fp, f)
 		r.promotions.Add(0, 1)
 	}
 }
@@ -220,7 +221,7 @@ func (r *replicator) dropped(fp string) {
 	delete(r.hot, fp)
 	r.mu.Unlock()
 	for _, id := range holders {
-		r.fleet.shards[id].replicas.remove(fp)
+		r.srv.shards[id].replicas.remove(fp)
 		r.drops.Add(0, 1)
 	}
 }

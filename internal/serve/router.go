@@ -35,13 +35,13 @@ func shardWeight(fp string, shard int) uint64 {
 // shards (callers filter by drain state as needed). Ties (effectively
 // impossible with a 64-bit hash) break toward the lower id for
 // determinism.
-func (fl *Fleet) rendezvous(fp string) []int {
+func (s *Server) rendezvous(fp string) []int {
 	type sw struct {
 		id int
 		w  uint64
 	}
-	order := make([]sw, len(fl.shards))
-	for i := range fl.shards {
+	order := make([]sw, len(s.shards))
+	for i := range s.shards {
 		order[i] = sw{id: i, w: shardWeight(fp, i)}
 	}
 	sort.Slice(order, func(a, b int) bool {
@@ -60,10 +60,10 @@ func (fl *Fleet) rendezvous(fp string) []int {
 // owner returns fp's owner: the first non-draining shard in rendezvous
 // order. When every shard is draining (shutdown), the first shard of
 // the order still serves, so the fleet never routes into a void.
-func (fl *Fleet) owner(fp string) int {
-	ids := fl.rendezvous(fp)
+func (s *Server) owner(fp string) int {
+	ids := s.rendezvous(fp)
 	for _, id := range ids {
-		if !fl.isDraining(id) {
+		if !s.isDraining(id) {
 			return id
 		}
 	}
@@ -76,12 +76,12 @@ func (fl *Fleet) owner(fp string) int {
 // depth) so the router prefers the least-loaded copy when the primary
 // is saturated. Draining shards are skipped unless nothing else
 // remains.
-func (fl *Fleet) solveCandidates(fp string) []int {
-	owner := fl.owner(fp)
+func (s *Server) solveCandidates(fp string) []int {
+	owner := s.owner(fp)
 	seen := map[int]bool{owner: true}
 	cands := []int{owner}
-	for _, id := range fl.repl.replicaHolders(fp) {
-		if !seen[id] && !fl.isDraining(id) {
+	for _, id := range s.repl.replicaHolders(fp) {
+		if !seen[id] && !s.isDraining(id) {
 			seen[id] = true
 			cands = append(cands, id)
 		}
@@ -91,7 +91,7 @@ func (fl *Fleet) solveCandidates(fp string) []int {
 		// an equally loaded replica, preserving LRU warmth on the copy
 		// that actually owns the entry.
 		sort.SliceStable(cands, func(a, b int) bool {
-			return fl.shards[cands[a]].retryAfterEstimate() < fl.shards[cands[b]].retryAfterEstimate()
+			return s.shards[cands[a]].retryAfterEstimate() < s.shards[cands[b]].retryAfterEstimate()
 		})
 	}
 	return cands

@@ -2,36 +2,32 @@
 // solve service. The economics come from the paper's workload shape:
 // factorization costs O(n²·k) and is worth minutes; a solve against a
 // cached factor costs O(n·k·nrhs) and is worth milliseconds. The
-// server therefore (1) caches factors by problem fingerprint with
+// service therefore (1) caches factors by problem fingerprint with
 // single-flight deduplication and LRU eviction under a byte budget,
 // (2) coalesces concurrent solves against the same factor into one
 // blocked multi-column substitution, and (3) applies admission
 // control so overload degrades into fast 429s instead of queue
-// collapse. Fleet mode (see fleet.go) stacks N of these Servers as
-// shards behind a fingerprint-routing front end.
+// collapse.
+//
+// It is one HTTP front end (Server: mux, tracing, decoding, the error
+// envelope, routing, stats) over N shards (shard.go), each with its own
+// cache, batcher and admission gate. New builds one shard; NewFleet
+// builds several behind a fingerprint router (router.go) with hot-factor
+// replication (replicate.go).
 package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"expvar"
 	"fmt"
 	"io"
-	"math"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"context"
-
-	"tlrchol/internal/core"
-	"tlrchol/internal/dense"
 	"tlrchol/internal/obs"
-	"tlrchol/internal/rbf"
-	"tlrchol/internal/tilemat"
-	"tlrchol/internal/tlr"
 )
 
 // Config tunes the service. The zero value is usable: every field has
@@ -109,70 +105,141 @@ func (c *Config) defaults() {
 	}
 }
 
-// Server is the HTTP solve service — standalone, or one shard of a
-// Fleet. Create with New, mount Handler on an http.Server, and drain
-// with http.Server.Shutdown — in-flight requests (including batch
-// leaders mid-window) run to completion. In fleet mode the Fleet calls
-// the do* entry points directly (in-process; no HTTP hop between
-// router and shard) and the shard's own mux goes unused.
-type Server struct {
-	cfg     Config
-	reg     *obs.Registry
-	cache   *FactorCache
-	batcher *Batcher
-	adm     *Admission
-	mux     *http.ServeMux
-	started time.Time
-
-	// id is the shard index in fleet mode, -1 standalone. It labels
-	// shard spans and capacity errors.
-	id int
-	// replicas holds factors this server serves as a non-owner replica
-	// (always present; empty outside fleet mode).
-	replicas *replicaStore
-
-	factorRuns, factorReqs, solveReqs, httpErrors *obs.Counter
-	factorLatency, solveLatency, substLatency     *obs.Histogram
-	// solveOnly tracks recent substitution-only latencies for the
-	// /v1/stats percentile report and the Retry-After estimator.
-	solveOnly *latencyRing
-
-	// tr is the request-tracing front end (trace ids, flight retention,
-	// end-to-end breakdown ring, access log). In fleet mode the Fleet
-	// runs its own tracer and the shard's stays idle.
-	tr *tracer
-
-	statsMu  sync.Mutex
-	lastSnap obs.MetricsSnapshot
+// FleetConfig sizes a multi-shard service. Zero values take production
+// defaults.
+type FleetConfig struct {
+	// Shards is the shard count (default 3).
+	Shards int
+	// Replicas is how many extra shards a hot factor is copied to
+	// (default 1, clamped to Shards-1; 0 disables replication).
+	Replicas int
+	// PromoteAfter is the solve count within PromoteWindow that marks a
+	// fingerprint hot (default 8).
+	PromoteAfter int
+	// PromoteWindow is the popularity decay window (default 10s).
+	PromoteWindow time.Duration
+	// Shard is the per-shard config. Shard.Metrics is ignored: each
+	// shard gets its own registry so per-shard counters never collide.
+	// Metrics, when set, receives the front end's own counters
+	// (default: a fresh registry).
+	Shard   Config
+	Metrics *obs.Registry
 }
 
-// New builds a Server from cfg (zero value is fine).
+func (c *FleetConfig) defaults() {
+	if c.Shards <= 0 {
+		c.Shards = 3
+	}
+	if c.Replicas == 0 {
+		c.Replicas = 1
+	}
+	if c.Replicas < 0 {
+		c.Replicas = 0
+	}
+	if c.Replicas > c.Shards-1 {
+		c.Replicas = c.Shards - 1
+	}
+	if c.PromoteAfter <= 0 {
+		c.PromoteAfter = 8
+	}
+	if c.PromoteWindow <= 0 {
+		c.PromoteWindow = 10 * time.Second
+	}
+	if c.Metrics == nil {
+		c.Metrics = obs.NewRegistry(4)
+	}
+}
+
+// Server is the HTTP solve service: one front end over one shard (New)
+// or several (NewFleet). Mount Handler on an http.Server and drain with
+// http.Server.Shutdown — in-flight requests (including batch leaders
+// mid-window) run to completion.
+//
+// The front end owns everything HTTP-facing: the mux, request tracing,
+// decoding and the error envelope, the rendezvous router and the
+// replicator. It calls the shards in process. The router
+// consistent-hashes the problem fingerprint to an owner shard, so:
+//
+//   - every factorization for a fingerprint lands on one shard, and
+//     that shard's single-flight collapses concurrent builds — exactly
+//     one factorization per fingerprint service-wide;
+//   - cache capacity partitions instead of duplicating: S shards hold
+//     S distinct working sets;
+//   - hot fingerprints replicate to extra shards, and the router
+//     spreads their solves across the copies by load;
+//   - draining a shard re-routes only the keys it owned, and a
+//     saturated owner's 429 degrades into a retry on a replica before
+//     the client ever sees it.
+//
+// One trace id covers the router hop and the shard's work: the front
+// end records a router.route span, the shard a shard.solve or
+// shard.factorize span.
+type Server struct {
+	cfg      Config // per-shard template with defaults applied
+	reg      *obs.Registry
+	shards   []*shard
+	draining []atomic.Bool
+	repl     *replicator
+	tr       *tracer
+	mux      *http.ServeMux
+	started  time.Time
+
+	httpErrors, factorReqs, solveReqs            *obs.Counter
+	routeFallbacks, routeRejected, replicaServes *obs.Counter
+
+	statsMu    sync.Mutex
+	lastTotals map[string]uint64
+}
+
+// New builds a single server from cfg (the zero value is fine): one
+// shard, reporting to cfg.Metrics like the front end.
 func New(cfg Config) *Server {
 	cfg.defaults()
-	reg := cfg.Metrics
+	return newServer(FleetConfig{Shards: 1, Shard: cfg, Metrics: cfg.Metrics},
+		func() *obs.Registry { return cfg.Metrics })
+}
+
+// NewFleet builds a service of cfg.Shards shards, each on a registry of
+// its own, behind the fingerprint router.
+func NewFleet(cfg FleetConfig) *Server {
+	return newServer(cfg, func() *obs.Registry { return obs.NewRegistry(4) })
+}
+
+func newServer(fc FleetConfig, shardReg func() *obs.Registry) *Server {
+	fc.defaults()
+	cfg := fc.Shard
+	cfg.defaults()
+	reg := fc.Metrics
 	s := &Server{
-		cfg:           cfg,
-		reg:           reg,
-		cache:         NewFactorCache(cfg.CacheBudget, reg),
-		batcher:       NewBatcher(cfg.BatchWindow, cfg.MaxBatchCols, cfg.SolveTimeout, cfg.SolveWorkers, reg),
-		adm:           NewAdmission(cfg.MaxInflight, reg),
-		mux:           http.NewServeMux(),
-		started:       time.Now(),
-		id:            -1,
-		replicas:      newReplicaStore(reg),
-		factorRuns:    reg.Counter("serve.factorize.runs"),
-		factorReqs:    reg.Counter("serve.factorize.requests"),
-		solveReqs:     reg.Counter("serve.solve.requests"),
-		httpErrors:    reg.Counter("serve.http.errors"),
-		factorLatency: reg.Histogram("serve.factorize.latency_ms", 10, 100, 1000, 10000, 60000),
-		solveLatency:  reg.Histogram("serve.solve.latency_ms", 1, 5, 10, 50, 100, 1000, 10000),
-		substLatency:  reg.Histogram("serve.solve.subst_ms", 1, 5, 10, 50, 100, 1000, 10000),
-		solveOnly:     newLatencyRing(0),
+		cfg:            cfg,
+		reg:            reg,
+		shards:         make([]*shard, fc.Shards),
+		draining:       make([]atomic.Bool, fc.Shards),
+		mux:            http.NewServeMux(),
+		started:        time.Now(),
+		httpErrors:     reg.Counter("serve.http.errors"),
+		factorReqs:     reg.Counter("serve.factorize.requests"),
+		solveReqs:      reg.Counter("serve.solve.requests"),
+		routeFallbacks: reg.Counter("fleet.route.fallbacks"),
+		routeRejected:  reg.Counter("fleet.route.rejected"),
+		replicaServes:  reg.Counter("fleet.route.replica_serves"),
 	}
-	s.tr = newTracer(&cfg, s.httpErrors)
+	s.tr = newTracer(&cfg)
+	for i := range s.shards {
+		s.shards[i] = newShard(i, cfg, shardReg())
+	}
+	s.repl = newReplicator(s, fc.Replicas, fc.PromoteAfter, fc.PromoteWindow, reg)
+	for _, sh := range s.shards {
+		// Owner-coordinated replica eviction: when a shard's cache drops
+		// a fingerprint, every replica of it goes too. The hook runs
+		// outside the cache lock (see FactorCache.finishEvictions), so
+		// the replicator's lock never nests inside a cache's.
+		sh.cache.SetOnEvict(func(fp string, f *Factor) { s.repl.dropped(fp) })
+	}
+
 	s.mux.HandleFunc("POST /v1/factorize", s.tr.traced("/v1/factorize", true, s.handleFactorize))
 	s.mux.HandleFunc("POST /v1/solve", s.tr.traced("/v1/solve", true, s.handleSolve))
-	s.mux.HandleFunc("GET /v1/trace/{id}", s.tr.handleTrace)
+	s.mux.HandleFunc("GET /v1/trace/{id}", s.handleTrace)
 	s.mux.HandleFunc("GET /v1/stats", s.tr.traced("/v1/stats", false, s.handleStats))
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.Handle("GET /debug/vars", expvar.Handler())
@@ -182,14 +249,26 @@ func New(cfg Config) *Server {
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// SetDrain marks a shard draining (true) or serving (false). A
+// draining shard stops owning fingerprints — the rendezvous order
+// promotes the next shard — and stops receiving replica installs; its
+// in-flight work finishes normally.
+func (s *Server) SetDrain(id int, draining bool) {
+	if id >= 0 && id < len(s.draining) {
+		s.draining[id].Store(draining)
+	}
+}
+
+func (s *Server) isDraining(id int) bool { return s.draining[id].Load() }
+
 // errorBody is the uniform error envelope.
 type errorBody struct {
 	Error string `json:"error"`
 }
 
 // apiError carries an HTTP status (plus an optional Retry-After hint)
-// across the shard/router boundary, so the fleet can distinguish "this
-// shard is full, try a replica" from a terminal failure.
+// across the shard/router boundary, so the router can distinguish
+// "this shard is full, try a replica" from a terminal failure.
 type apiError struct {
 	code       int
 	retryAfter int // seconds; > 0 emits a Retry-After header
@@ -202,8 +281,10 @@ func apiErrorf(code int, format string, args ...any) *apiError {
 	return &apiError{code: code, msg: fmt.Sprintf(format, args...)}
 }
 
+// fail writes the uniform error envelope and counts the error.
 func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...any) {
-	failJSON(w, s.httpErrors, code, format, args...)
+	s.httpErrors.Add(0, 1)
+	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
 // failAPI writes an apiError, propagating its Retry-After hint.
@@ -212,65 +293,6 @@ func (s *Server) failAPI(w http.ResponseWriter, e *apiError) {
 		w.Header().Set("Retry-After", strconv.Itoa(e.retryAfter))
 	}
 	s.fail(w, e.code, "%s", e.msg)
-}
-
-// retryAfterEstimate predicts, in whole seconds, when an admission
-// slot should free: the recent median substitution latency times the
-// current queue depth. A cold server (no latency history) assumes a
-// 25ms solve. Clamped to [1, 30] — the hint steers client backoff, it
-// is not a promise. The estimate is deterministic so the fleet router
-// can compare shards by it; the client-facing header adds jitter on
-// top (retryAfterSeconds) to decorrelate retry storms.
-func (s *Server) retryAfterEstimate() int {
-	st := s.solveOnly.Stats()
-	p50 := st.P50MS
-	if st.Count == 0 || p50 <= 0 {
-		p50 = 25
-	}
-	inflight := float64(s.adm.inflight.Load())
-	if inflight < 1 {
-		inflight = 1
-	}
-	secs := int(math.Ceil(p50 * inflight / 1000))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 30 {
-		secs = 30
-	}
-	return secs
-}
-
-// retryAfterSeconds is the client-facing hint: the estimate ±25%
-// jitter, still clamped to ≥ 1.
-func (s *Server) retryAfterSeconds() int {
-	est := s.retryAfterEstimate()
-	if j := est / 4; j > 0 {
-		est += rand.Intn(2*j+1) - j
-	}
-	if est < 1 {
-		est = 1
-	}
-	return est
-}
-
-// overloaded builds the 429 apiError for a full admission gate.
-func (s *Server) overloaded() *apiError {
-	who := "server"
-	if s.id >= 0 {
-		who = fmt.Sprintf("shard %d", s.id)
-	}
-	return &apiError{
-		code:       http.StatusTooManyRequests,
-		retryAfter: s.retryAfterSeconds(),
-		msg:        fmt.Sprintf("%s at capacity (%d inflight); retry after backoff", who, s.cfg.MaxInflight),
-	}
-}
-
-// reject emits the 429 backpressure response with the computed retry
-// hint.
-func (s *Server) reject(w http.ResponseWriter) {
-	s.failAPI(w, s.overloaded())
 }
 
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
@@ -282,6 +304,37 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
+}
+
+// admitFirst takes the only shard's admission slot before the body is
+// read: with one shard the owner is known without a fingerprint, so
+// overload sheds with a 429 without paying for a JSON parse. With
+// several shards it holds nothing; each candidate admits in turn once
+// the request is routed. ok is false when the 429 has been sent; held
+// reports a slot on shard 0 that the caller must release.
+func (s *Server) admitFirst(w http.ResponseWriter) (held, ok bool) {
+	if len(s.shards) > 1 {
+		return false, true
+	}
+	if aerr := s.shards[0].admit(); aerr != nil {
+		s.routeRejected.Add(0, 1)
+		s.failAPI(w, aerr)
+		return false, false
+	}
+	return true, true
+}
+
+// key normalizes the spec and fingerprints it — once, at the front
+// end. The shard it routes to builds from the same points on a miss.
+func (s *Server) key(sp *ProblemSpec) (problemKey, error) {
+	if err := sp.normalize(s.cfg.MaxN); err != nil {
+		return problemKey{}, err
+	}
+	pts := sp.points()
+	if err := validatePoints(pts); err != nil {
+		return problemKey{}, err
+	}
+	return problemKey{fp: Fingerprint(*sp, pts), pts: pts}, nil
 }
 
 // FactorizeRequest is the /v1/factorize body: just a problem spec.
@@ -297,221 +350,45 @@ type FactorizeResponse struct {
 	Tile        int         `json:"tile"`
 	Bytes       int64       `json:"bytes"`
 	Stats       FactorStats `json:"stats"`
-	// Shard names the fleet shard that did the work (absent standalone).
+	// Shard names the shard that did the work.
 	Shard *int `json:"shard,omitempty"`
 }
 
 func (s *Server) handleFactorize(w http.ResponseWriter, r *http.Request) {
 	s.factorReqs.Add(0, 1)
-	// Admission before decode: overload rejects without paying for a
-	// JSON parse.
-	if !s.adm.TryAcquire() {
-		s.reject(w)
+	held, ok := s.admitFirst(w)
+	if !ok {
 		return
 	}
-	defer s.adm.Release()
+	if held {
+		defer s.shards[0].adm.Release()
+	}
 	var req FactorizeRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
-	resp, aerr := s.doFactorizeAdmitted(r.Context(), &req, "")
+	rt := obs.TraceFrom(r.Context())
+	routeStart := rt.Now()
+	k, err := s.key(&req.Problem)
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	// Factorizations route to the owner only: building on any other
+	// shard would break the one-factorization-per-fingerprint guarantee.
+	owner := s.owner(k.fp)
+	rt.Span("router.route", -1, routeStart, rt.Now()-routeStart, obs.SpanInfo{}, false)
+	rt.Tag("shard", strconv.Itoa(owner))
+	resp, aerr := s.shards[owner].doFactorize(r.Context(), &req, k, held)
 	if aerr != nil {
+		if aerr.code == http.StatusTooManyRequests {
+			s.routeRejected.Add(0, 1)
+		}
 		s.failAPI(w, aerr)
 		return
 	}
+	resp.Shard = &owner
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// doFactorize is the fleet entry point: admission plus the admitted
-// path, with the shard's work recorded as a span on the router's
-// trace. fpHint carries the fingerprint the router already computed.
-func (s *Server) doFactorize(ctx context.Context, req *FactorizeRequest, fpHint string) (*FactorizeResponse, *apiError) {
-	rt := obs.TraceFrom(ctx)
-	start := rt.Now()
-	s.factorReqs.Add(0, 1)
-	if !s.adm.TryAcquire() {
-		return nil, s.overloaded()
-	}
-	defer s.adm.Release()
-	resp, aerr := s.doFactorizeAdmitted(ctx, req, fpHint)
-	rt.Span("shard.factorize", int32(s.id), start, rt.Now()-start, obs.SpanInfo{}, false)
-	return resp, aerr
-}
-
-// doFactorizeAdmitted resolves the factor once admission is held.
-func (s *Server) doFactorizeAdmitted(ctx context.Context, req *FactorizeRequest, fpHint string) (*FactorizeResponse, *apiError) {
-	rt := obs.TraceFrom(ctx)
-	rt.Phase("queue", 0, rt.Now())
-	resolveStart := rt.Now()
-	f, cached, err := s.resolveFactor(ctx, req.Problem, fpHint)
-	rt.Phase("factor", resolveStart, rt.Now()-resolveStart)
-	if err != nil {
-		return nil, factorAPIError(err)
-	}
-	defer f.Release()
-	rt.Tag("fp", fpPrefix(f.FP))
-	rt.Tag("cache", hitMiss(cached))
-	return &FactorizeResponse{
-		Fingerprint: f.FP,
-		Cached:      cached,
-		N:           f.Spec.N,
-		Tile:        f.Spec.Tile,
-		Bytes:       f.SizeBytes,
-		Stats:       f.FactorStats,
-	}, nil
-}
-
-// fpPrefix shortens a fingerprint for tags and log lines: enough to
-// correlate, short enough to scan.
-func fpPrefix(fp string) string {
-	if len(fp) > 12 {
-		return fp[:12]
-	}
-	return fp
-}
-
-func hitMiss(cached bool) string {
-	if cached {
-		return "hit"
-	}
-	return "miss"
-}
-
-// factorAPIError maps resolution errors onto HTTP codes.
-func factorAPIError(err error) *apiError {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return apiErrorf(http.StatusGatewayTimeout, "factorization did not complete: %v", err)
-	}
-	return apiErrorf(http.StatusBadRequest, "%v", err)
-}
-
-// resolveFactor normalizes the spec, fingerprints it and gets-or-builds
-// the factor through the single-flight cache. fpHint, when non-empty,
-// is the fingerprint the fleet router already computed for this spec —
-// it skips regenerating the geometry on the hot (cache-hit) path.
-// Replicated factors are checked first: a replica holder serves solves
-// locally without touching its own cache. The returned factor is
-// pinned for the caller (Release when the solve is done).
-func (s *Server) resolveFactor(ctx context.Context, sp ProblemSpec, fpHint string) (*Factor, bool, error) {
-	if err := sp.normalize(s.cfg.MaxN); err != nil {
-		return nil, false, err
-	}
-	fp := fpHint
-	var pts []rbf.Point
-	if fp == "" {
-		pts = sp.points()
-		if err := validatePoints(pts); err != nil {
-			return nil, false, err
-		}
-		fp = Fingerprint(sp, pts)
-	}
-	if f, ok := s.replicas.lookup(fp); ok {
-		return f, true, nil
-	}
-	// The requester that wins the single-flight donates its trace to
-	// the build: its /v1/trace shows compress/factorize/plan spans.
-	// Waiters see the build only as their "factor" phase duration.
-	rt := obs.TraceFrom(ctx)
-	return s.cache.Get(ctx, fp, func() (*Factor, error) {
-		if pts == nil {
-			pts = sp.points()
-			if err := validatePoints(pts); err != nil {
-				return nil, err
-			}
-		}
-		return s.buildFactor(rt, sp, pts, fp)
-	})
-}
-
-// lookupLocal returns a pinned factor this server can solve against
-// without building: its own cache, or its replica store.
-func (s *Server) lookupLocal(fp string) (*Factor, bool) {
-	if f, ok := s.cache.Lookup(fp); ok {
-		return f, true
-	}
-	return s.replicas.lookup(fp)
-}
-
-// buildFactor assembles, compresses and factorizes the problem. It
-// runs under the server's factorization budget, detached from any one
-// request context: a single-flight build may be serving many waiters,
-// so the first requester hanging up must not kill it for the rest.
-func (s *Server) buildFactor(rt *obs.ReqTrace, sp ProblemSpec, pts []rbf.Point, fp string) (*Factor, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.FactorizeTimeout)
-	defer cancel()
-	// The build runs detached from the request's cancellation but keeps
-	// its trace: core.Factorize records analyze/run spans against it.
-	ctx = obs.ContextWithTrace(ctx, rt)
-	s.factorRuns.Add(0, 1)
-	start := time.Now()
-
-	compressStart := rt.Now()
-	prob, _ := sp.problem(pts)
-	comp, err := tlr.CompressorFor(sp.Compress, sp.AraBS, uint64(sp.Seed))
-	if err != nil {
-		return nil, err
-	}
-	asm := tilemat.Assembler(prob.Block)
-	if sp.Augmented {
-		asm = prob.AugmentedBlock
-	}
-	m, _, err := tilemat.FromAssemblerParallelComp(sp.Dim(), sp.Tile, asm, sp.Tol, sp.MaxRank, s.cfg.Workers, comp)
-	if err != nil {
-		return nil, fmt.Errorf("compression failed: %w", err)
-	}
-	compress := time.Since(start)
-	rt.Span("factor.compress", -1, compressStart, rt.Now()-compressStart, obs.SpanInfo{}, false)
-	op := m.Clone()
-
-	opts := core.Options{
-		Tol:     sp.Tol,
-		MaxRank: sp.MaxRank,
-		Trim:    *sp.Trim,
-		Workers: s.cfg.Workers,
-		Context: ctx,
-		Metrics: s.reg,
-	}
-	var rep core.Report
-	if sp.Factor == "ldlt" {
-		rep, err = core.FactorizeLDLt(m, opts)
-	} else {
-		rep, err = core.Factorize(m, opts)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("factorization failed: %w", err)
-	}
-	// Build the substitution schedule alongside the factor, still under
-	// the single-flight: every solve against this entry reuses it, and
-	// its bytes ride the same cache budget (evicted together).
-	planStart := time.Now()
-	planSpanStart := rt.Now()
-	plan := core.BuildSolvePlan(m)
-	planBuild := time.Since(planStart)
-	rt.Span("factor.plan", -1, planSpanStart, rt.Now()-planSpanStart, obs.SpanInfo{}, false)
-	fwdLevels, _ := plan.Levels()
-
-	elapsed := time.Since(start)
-	s.factorLatency.Observe(0, float64(elapsed.Milliseconds()))
-	st := m.Stats()
-	return &Factor{
-		FP:        fp,
-		Spec:      sp,
-		L:         m,
-		Op:        op,
-		Plan:      plan,
-		SizeBytes: int64(m.Bytes()+op.Bytes()) + plan.Bytes(),
-		FactorStats: FactorStats{
-			ElapsedMS:     float64(elapsed.Milliseconds()),
-			CompressMS:    float64(compress.Milliseconds()),
-			Density:       st.Density,
-			MaxRank:       st.Max,
-			TasksTrimmed:  rep.TasksTrimmed,
-			TasksExecuted: rep.TasksExecuted,
-			PlanBuildMS:   float64(planBuild) / float64(time.Millisecond),
-			PlanLevels:    fwdLevels,
-			PlanMaxWidth:  plan.MaxWidth(),
-		},
-	}, nil
 }
 
 // SolveRequest is the /v1/solve body. The factor is named either by a
@@ -555,273 +432,238 @@ type SolveResponse struct {
 	// batch (equal to TraceID when this request led).
 	TraceID     string `json:"trace_id,omitempty"`
 	LeaderTrace string `json:"leader_trace,omitempty"`
-	// Shard names the fleet shard that served the solve (absent
-	// standalone); Replica reports whether it served from a replicated
-	// copy rather than its own cache.
+	// Shard names the shard that served the solve; Replica reports
+	// whether it served from a replicated copy rather than its own
+	// cache.
 	Shard   *int `json:"shard,omitempty"`
 	Replica bool `json:"replica,omitempty"`
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.solveReqs.Add(0, 1)
-	if !s.adm.TryAcquire() {
-		s.reject(w)
+	held, ok := s.admitFirst(w)
+	if !ok {
 		return
 	}
-	defer s.adm.Release()
+	if held {
+		defer s.shards[0].adm.Release()
+	}
 	var req SolveRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
-	resp, aerr := s.doSolveAdmitted(r.Context(), &req, "")
-	if aerr != nil {
-		s.failAPI(w, aerr)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// doSolve is the fleet entry point: admission plus the admitted path,
-// with the shard's work recorded as a span on the router's trace.
-func (s *Server) doSolve(ctx context.Context, req *SolveRequest, fpHint string) (*SolveResponse, *apiError) {
-	rt := obs.TraceFrom(ctx)
-	start := rt.Now()
-	s.solveReqs.Add(0, 1)
-	if !s.adm.TryAcquire() {
-		return nil, s.overloaded()
-	}
-	defer s.adm.Release()
-	resp, aerr := s.doSolveAdmitted(ctx, req, fpHint)
-	rt.Span("shard.solve", int32(s.id), start, rt.Now()-start, obs.SpanInfo{}, false)
-	return resp, aerr
-}
-
-// doSolveAdmitted runs one solve with an admission slot already held.
-// The factor stays pinned from acquisition to the end of response
-// assembly, so concurrent eviction can drop it from the cache but
-// never free it mid-substitution.
-func (s *Server) doSolveAdmitted(ctx context.Context, req *SolveRequest, fpHint string) (resp *SolveResponse, aerr *apiError) {
-	reqStart := time.Now()
-	rt := obs.TraceFrom(ctx)
-
-	// Validate the cheap parts (spec, RHS shape) before paying for any
-	// factorization the request might trigger.
-	var (
-		f      *Factor
-		cached bool
-		n      int
-	)
-	defer func() {
-		if f != nil {
-			f.Release()
-		}
-	}()
+	rt := obs.TraceFrom(r.Context())
+	routeStart := rt.Now()
+	var k problemKey
 	switch {
 	case req.Problem != nil:
-		if err := req.Problem.normalize(s.cfg.MaxN); err != nil {
-			return nil, apiErrorf(http.StatusBadRequest, "%v", err)
+		var err error
+		if k, err = s.key(req.Problem); err != nil {
+			s.fail(w, http.StatusBadRequest, "%v", err)
+			return
 		}
-		n = req.Problem.N
 	case req.Fingerprint != "":
-		var ok bool
-		f, ok = s.lookupLocal(req.Fingerprint)
-		if !ok {
-			return nil, apiErrorf(http.StatusNotFound, "no cached factor for fingerprint %q; send a problem spec", req.Fingerprint)
-		}
-		cached = true
-		n = f.Spec.N
+		k.fp = req.Fingerprint
 	default:
-		return nil, apiErrorf(http.StatusBadRequest, "request must carry a problem spec or a fingerprint")
+		s.fail(w, http.StatusBadRequest, "request must carry a problem spec or a fingerprint")
+		return
 	}
-	cols, err := buildRHS(req, n, s.cfg.MaxBatchCols)
-	if err != nil {
-		return nil, apiErrorf(http.StatusBadRequest, "%v", err)
-	}
-	// Queue covers everything up to factor resolution: admission,
-	// decode, validation, RHS materialization.
-	rt.Phase("queue", 0, rt.Now())
-	resolveStart := rt.Now()
-	if f == nil {
-		f, cached, err = s.resolveFactor(ctx, *req.Problem, fpHint)
-		if err != nil {
-			return nil, factorAPIError(err)
-		}
-	}
-	rt.Phase("factor", resolveStart, rt.Now()-resolveStart)
-	rt.Tag("fp", fpPrefix(f.FP))
-	rt.Tag("cache", hitMiss(cached))
-	if d := f.Spec.Dim(); d != cols.Rows {
-		// Augmented factor: the request's columns carry the N data rows;
-		// the 4 polynomial constraint rows of the saddle-point system are
-		// identically zero. Pad here so the whole solve pipeline sees the
-		// factor's dimension (the response assembly below reads only the
-		// first N rows back, which drops the padding again).
-		padded := dense.NewMatrix(d, cols.Cols)
-		for i := 0; i < cols.Rows; i++ {
-			copy(padded.Row(i), cols.Row(i))
-		}
-		cols = padded
-	}
-	p := SolveParams{Refine: req.Refine, MaxIter: req.MaxIter, Target: req.Target}
-	if p.Refine {
-		if p.MaxIter <= 0 {
-			p.MaxIter = 20
-		}
-		if p.Target <= 0 {
-			p.Target = f.Spec.Tol / 10
-		}
-	} else {
-		p.MaxIter, p.Target = 0, 0
-	}
+	owner := s.owner(k.fp)
+	cands := s.solveCandidates(k.fp)
+	rt.Span("router.route", -1, routeStart, rt.Now()-routeStart, obs.SpanInfo{}, false)
 
-	sctx, cancel := context.WithTimeout(ctx, s.cfg.SolveTimeout)
-	defer cancel()
-	submitAt := rt.Now()
-	out := s.batcher.Solve(sctx, f, p, cols)
-	if out.err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(out.err, context.Canceled) || errors.Is(out.err, context.DeadlineExceeded) {
-			code = http.StatusGatewayTimeout
+	// Try candidates best-first. Only capacity rejections fall through
+	// to the next copy; every other error is the request's own fault or
+	// a real failure, and retrying elsewhere would just repeat it.
+	minRetry := 0
+	var last *apiError
+	for i, id := range cands {
+		if i > 0 {
+			s.routeFallbacks.Add(0, 1)
 		}
-		return nil, apiErrorf(code, "%v", out.err)
-	}
-	s.solveLatency.Observe(0, float64(time.Since(reqStart).Milliseconds()))
-	substMS := float64(out.subst) / float64(time.Millisecond)
-	s.substLatency.Observe(0, substMS)
-	s.solveOnly.Record(substMS)
-
-	// Breakdown phases partition submit→completion: the batch wait, the
-	// pure substitution, and the rest of the solve (residual check in
-	// direct mode, operator applies and convergence logic under
-	// refinement). Together with queue and factor above they account
-	// for the request's full timeline.
-	rt.Phase("batch_wait", submitAt, out.waited)
-	rt.Phase("subst", submitAt+out.waited, out.subst)
-	solveRest := out.solved - out.subst
-	if req.Refine {
-		rt.Phase("refine", submitAt+out.waited+out.subst, solveRest)
-	} else {
-		rt.Phase("resid", submitAt+out.waited+out.subst, solveRest)
-	}
-	rt.Tag("batch", strconv.Itoa(out.batchCols))
-
-	resp = &SolveResponse{
-		Fingerprint: f.FP,
-		Cached:      cached,
-		Columns:     cols.Cols,
-		BatchCols:   out.batchCols,
-		WaitMS:      float64(out.waited) / float64(time.Millisecond),
-		SolveMS:     float64(out.solved) / float64(time.Millisecond),
-		SubstMS:     substMS,
-		Residuals:   out.residuals,
-		Iterations:  out.iterations,
-		LeaderTrace: out.leader,
-	}
-	if rt != nil {
-		resp.TraceID = rt.ID
-	}
-	if req.ReturnSolution {
-		resp.Solution = make([][]float64, cols.Cols)
-		for j := 0; j < cols.Cols; j++ {
-			col := make([]float64, f.Spec.N)
-			for i := range col {
-				col[i] = cols.At(i, j)
+		resp, aerr := s.shards[id].doSolve(r.Context(), &req, k, held)
+		if aerr == nil {
+			sid := id
+			resp.Shard = &sid
+			resp.Replica = id != owner
+			rt.Tag("shard", strconv.Itoa(id))
+			if id != owner {
+				s.replicaServes.Add(0, 1)
 			}
-			resp.Solution[j] = col
+			s.repl.noteSolve(resp.Fingerprint, s.owner(resp.Fingerprint))
+			writeJSON(w, http.StatusOK, resp)
+			return
 		}
+		if aerr.code != http.StatusTooManyRequests {
+			rt.Tag("shard", strconv.Itoa(id))
+			s.failAPI(w, aerr)
+			return
+		}
+		if minRetry == 0 || (aerr.retryAfter > 0 && aerr.retryAfter < minRetry) {
+			minRetry = aerr.retryAfter
+		}
+		last = aerr
 	}
-	return resp, nil
+	// Every copy is saturated: reject with the most optimistic hint any
+	// shard offered.
+	s.routeRejected.Add(0, 1)
+	last.retryAfter = minRetry
+	s.failAPI(w, last)
 }
 
-// buildRHS materializes the request's right-hand sides as an n×k
-// matrix.
-func buildRHS(req *SolveRequest, n, maxCols int) (*dense.Matrix, error) {
-	if len(req.RHS) > 0 {
-		if len(req.RHS) > maxCols {
-			return nil, fmt.Errorf("%d RHS columns exceed the per-request limit %d", len(req.RHS), maxCols)
-		}
-		m := dense.NewMatrix(n, len(req.RHS))
-		for j, col := range req.RHS {
-			if len(col) != n {
-				return nil, fmt.Errorf("rhs column %d has %d entries, want n=%d", j, len(col), n)
-			}
-			for i, v := range col {
-				m.Set(i, j, v)
-			}
-		}
-		return m, nil
-	}
-	if req.NRHS <= 0 {
-		return nil, fmt.Errorf("request must carry rhs columns or nrhs > 0")
-	}
-	if req.NRHS > maxCols {
-		return nil, fmt.Errorf("nrhs=%d exceeds the per-request limit %d", req.NRHS, maxCols)
-	}
-	seed := req.RHSSeed
-	if seed == 0 {
-		seed = 1
-	}
-	return dense.Random(rand.New(rand.NewSource(seed)), n, req.NRHS), nil
+// SingleFlightStats aggregates the service-wide factorization economy.
+type SingleFlightStats struct {
+	// FactorizeRuns is the total number of factorizations actually
+	// executed across all shards — the keystone number: a burst of
+	// identical requests should move it by exactly one.
+	FactorizeRuns uint64 `json:"factorize_runs"`
+	CacheHits     uint64 `json:"cache_hits"`
+	Waits         uint64 `json:"singleflight_waits"`
 }
 
-// StatsResponse is the /v1/stats body: occupancy plus both lifetime
-// totals and the delta window since the previous stats scrape —
+// RouterStats counts routing outcomes.
+type RouterStats struct {
+	Requests      uint64 `json:"requests"`
+	Fallbacks     uint64 `json:"fallbacks"`
+	Rejected      uint64 `json:"rejected"`
+	ReplicaServes uint64 `json:"replica_serves"`
+}
+
+// ReplicationStats summarizes hot-factor replication.
+type ReplicationStats struct {
+	Promotions uint64 `json:"promotions"`
+	Drops      uint64 `json:"drops"`
+	Active     int    `json:"active"`
+}
+
+// ShardStatsEntry is one shard's slice of the stats.
+type ShardStatsEntry struct {
+	ID            int            `json:"id"`
+	Draining      bool           `json:"draining"`
+	FactorizeRuns uint64         `json:"factorize_runs"`
+	Cache         CacheStats     `json:"cache"`
+	Admission     AdmissionStats `json:"admission"`
+	Replica       ReplicaStats   `json:"replica"`
+}
+
+// StatsResponse is the /v1/stats body. The top-level cache, admission,
+// replica, solve-only, totals and window views are service-wide: sums
+// over the shards (percentiles over the union of their windows), with
+// the counters of every registry summed by name. Totals are lifetime
+// values; Window is the delta since the previous stats scrape —
 // Snapshot/Delta semantics built for exactly this long-lived process.
 type StatsResponse struct {
-	UptimeSec float64        `json:"uptime_sec"`
-	Cache     CacheStats     `json:"cache"`
-	Admission AdmissionStats `json:"admission"`
-	// Replica reports the factors this server holds as a fleet replica
-	// (zero-valued standalone).
+	UptimeSec float64           `json:"uptime_sec"`
+	Cache     CacheStats        `json:"cache"`
+	Admission AdmissionStats    `json:"admission"`
 	Replica   ReplicaStats      `json:"replica"`
 	SolveOnly SolveLatencyStats `json:"solve_only"`
-	// Request covers end-to-end /v1/solve latency (queueing, batching
-	// and response overhead included) with a per-percentile breakdown;
-	// SolveOnly above remains the substitution-only series.
+	// Request covers end-to-end /v1/solve latency (routing, queueing,
+	// batching and response overhead included) with a per-percentile
+	// breakdown; SolveOnly above remains the substitution-only series.
 	Request RequestLatencyStats `json:"request"`
 	// Flight summarizes the trace recorder: how many traces are
 	// retained and which retained request was slowest.
 	Flight obs.FlightStats   `json:"flight"`
 	Totals map[string]uint64 `json:"totals"`
 	Window map[string]uint64 `json:"window"`
+
+	Shards       []ShardStatsEntry `json:"shards"`
+	SingleFlight SingleFlightStats `json:"single_flight"`
+	Router       RouterStats       `json:"router"`
+	Replication  ReplicationStats  `json:"replication"`
 }
 
-// statsBody assembles the stats response (shared with fleet per-shard
-// reporting).
-func (s *Server) statsBody() StatsResponse {
-	snap := s.reg.Snapshot()
-	s.statsMu.Lock()
-	delta := snap.Delta(s.lastSnap)
-	s.lastSnap = snap
-	s.statsMu.Unlock()
-
-	counterMap := func(ms obs.MetricsSnapshot) map[string]uint64 {
-		out := make(map[string]uint64, len(ms.Counters))
-		for _, c := range ms.Counters {
-			out[c.Name] = c.Value
+// Stats assembles the /v1/stats body. Each call closes the counter
+// window the previous call opened.
+func (s *Server) Stats() StatsResponse {
+	totals := map[string]uint64{}
+	addCounters := func(reg *obs.Registry) {
+		for _, c := range reg.Snapshot().Counters {
+			totals[c.Name] += c.Value
 		}
-		return out
 	}
-	return StatsResponse{
+	addCounters(s.reg)
+	resp := StatsResponse{
 		UptimeSec: time.Since(s.started).Seconds(),
-		Cache:     s.cache.Stats(),
-		Admission: s.adm.Stats(),
-		Replica:   s.replicas.stats(),
-		SolveOnly: s.solveOnly.Stats(),
-		Request:   s.tr.reqLatency.Stats(),
+		Shards:    make([]ShardStatsEntry, len(s.shards)),
+		Request:   requestLatencyStats(s.tr.reqLatency),
 		Flight:    s.tr.flight.Stats(),
-		Totals:    counterMap(snap),
-		Window:    counterMap(delta),
+		Router: RouterStats{
+			Requests:      s.factorReqs.Value() + s.solveReqs.Value(),
+			Fallbacks:     s.routeFallbacks.Value(),
+			Rejected:      s.routeRejected.Value(),
+			ReplicaServes: s.replicaServes.Value(),
+		},
+		Replication: ReplicationStats{
+			Promotions: s.repl.promotions.Value(),
+			Drops:      s.repl.drops.Value(),
+			Active:     s.repl.activeReplicas(),
+		},
 	}
+	rings := make([]*ring[float64], len(s.shards))
+	for i, sh := range s.shards {
+		if sh.reg != s.reg {
+			addCounters(sh.reg)
+		}
+		e := ShardStatsEntry{
+			ID:            i,
+			Draining:      s.isDraining(i),
+			FactorizeRuns: sh.factorRuns.Value(),
+			Cache:         sh.cache.Stats(),
+			Admission:     sh.adm.Stats(),
+			Replica:       sh.replicas.stats(),
+		}
+		resp.Shards[i] = e
+		rings[i] = sh.solveOnly
+		c, a := &resp.Cache, &resp.Admission
+		c.Entries += e.Cache.Entries
+		c.Bytes += e.Cache.Bytes
+		c.Budget += e.Cache.Budget
+		c.Hits += e.Cache.Hits
+		c.Misses += e.Cache.Misses
+		c.Waits += e.Cache.Waits
+		c.Evictions += e.Cache.Evictions
+		a.MaxInflight += e.Admission.MaxInflight
+		a.Inflight += e.Admission.Inflight
+		a.Accepted += e.Admission.Accepted
+		a.Rejected += e.Admission.Rejected
+		resp.Replica.Factors += e.Replica.Factors
+		resp.Replica.Hits += e.Replica.Hits
+		resp.SingleFlight.FactorizeRuns += e.FactorizeRuns
+	}
+	resp.SolveOnly = solveLatencyStats(rings...)
+	resp.SingleFlight.CacheHits = resp.Cache.Hits
+	resp.SingleFlight.Waits = resp.Cache.Waits
+
+	window := make(map[string]uint64, len(totals))
+	s.statsMu.Lock()
+	for name, v := range totals {
+		window[name] = v - min(v, s.lastTotals[name])
+	}
+	s.lastTotals = totals
+	s.statsMu.Unlock()
+	resp.Totals, resp.Window = totals, window
+	return resp
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.statsBody())
+	writeJSON(w, http.StatusOK, s.Stats())
 }
 
+// handleMetrics prints the front end's registry, then every shard
+// registry that is not that same registry under a shardN. prefix: a
+// single server prints one unprefixed scrape.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprint(w, s.reg.Snapshot().String())
+	var inflight int64
+	for i, sh := range s.shards {
+		if sh.reg != s.reg {
+			fmt.Fprint(w, sh.reg.Snapshot().StringPrefix(fmt.Sprintf("shard%d.", i)))
+		}
+		inflight += sh.adm.inflight.Load()
+	}
 	fmt.Fprintf(w, "  %-28s %s\n", "serve.uptime", time.Since(s.started).Round(time.Second))
-	fmt.Fprintf(w, "  %-28s %s\n", "serve.inflight", strconv.FormatInt(s.adm.inflight.Load(), 10))
+	fmt.Fprintf(w, "  %-28s %d\n", "serve.inflight", inflight)
 }

@@ -250,6 +250,28 @@ func TestServerBackpressure(t *testing.T) {
 	}
 }
 
+// TestServerShedsBeforeDecode pins the single-shard admission order:
+// the only shard's slot is taken before the body is read, so with that
+// slot held a request whose body is not even JSON is shed with 429,
+// not parsed into a 400.
+func TestServerShedsBeforeDecode(t *testing.T) {
+	s, ts := newTestServer(t, func(c *Config) { c.MaxInflight = 1 })
+	adm := s.shards[0].adm
+	if !adm.TryAcquire() {
+		t.Fatal("could not occupy the only admission slot")
+	}
+	defer adm.Release()
+	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader("not json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("want 429 before decode, got %d: %s", resp.StatusCode, body)
+	}
+}
+
 // TestServerGracefulDrain: Shutdown lets an in-flight solve (parked in
 // its batch window) finish before the listener closes.
 func TestServerGracefulDrain(t *testing.T) {
@@ -347,7 +369,7 @@ func TestServerSolvePlan(t *testing.T) {
 	}
 	// The cached entry must actually carry the plan, and its bytes must
 	// be charged to the cache budget.
-	f, ok := s.cache.Lookup(fr.Fingerprint)
+	f, ok := s.shards[0].cache.Lookup(fr.Fingerprint)
 	if !ok || f.Plan == nil {
 		t.Fatalf("cached factor is missing its solve plan")
 	}

@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"sync"
@@ -23,11 +22,10 @@ import (
 // /v1/trace/<id> long after they completed.
 //
 // The tracer bundles that per-process state — id minting, flight
-// retention, the end-to-end breakdown ring, the access log — so the
-// single-process Server and the fleet router share one implementation:
-// in fleet mode the router owns the tracer (one trace id covers the
-// router hop and the shard's work), and the per-shard Servers record
-// into the trace they find in the context.
+// retention, the end-to-end breakdown ring, the access log. The front
+// end owns the only one: one trace id covers the router hop and the
+// shard's work, and the shards record into the trace they find in the
+// context.
 
 // traceIDs mints process-unique request ids: a random per-process
 // prefix (so ids from different server lives never collide in logs)
@@ -87,19 +85,18 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return w.ResponseWriter.Write(p)
 }
 
-// tracer is the request-tracing front end shared by Server and Fleet.
+// tracer is the front end's request tracing.
 type tracer struct {
 	ids        *traceIDs
 	spanCap    int // 0 disables span detail
 	flight     *obs.FlightRecorder
-	reqLatency *breakdownRing
-	errs       *obs.Counter
+	reqLatency *ring[BreakdownMS]
 	accessLog  io.Writer
 	accessMu   sync.Mutex
 }
 
 // newTracer builds the tracing front end from the service config.
-func newTracer(cfg *Config, errs *obs.Counter) *tracer {
+func newTracer(cfg *Config) *tracer {
 	spanCap := cfg.TraceSpanCap
 	if cfg.DisableTracing {
 		spanCap = 0
@@ -108,8 +105,7 @@ func newTracer(cfg *Config, errs *obs.Counter) *tracer {
 		ids:        newTraceIDs(),
 		spanCap:    spanCap,
 		flight:     obs.NewFlightRecorder(cfg.FlightSlow, cfg.FlightRecent, cfg.FlightErrors),
-		reqLatency: newBreakdownRing(0),
-		errs:       errs,
+		reqLatency: newRing[BreakdownMS](0),
 		accessLog:  cfg.AccessLog,
 	}
 }
@@ -257,11 +253,11 @@ func (t *tracer) accessLogLine(rt *obs.ReqTrace, bd BreakdownMS) {
 // handleTrace exports one retained trace as Chrome trace-event JSON
 // (open in ui.perfetto.dev or chrome://tracing). 404 means the id was
 // never issued or has aged out of every retention policy.
-func (t *tracer) handleTrace(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	rt, ok := t.flight.Lookup(id)
+	rt, ok := s.tr.flight.Lookup(id)
 	if !ok {
-		failJSON(w, t.errs, http.StatusNotFound,
+		s.fail(w, http.StatusNotFound,
 			"no retained trace %q (it may have aged out; only the slowest and errored requests are kept)", id)
 		return
 	}
@@ -282,7 +278,7 @@ func (t *tracer) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := obs.WriteChromeTrace(w, rt.Events(), meta); err != nil {
-		t.errs.Add(0, 1)
+		s.httpErrors.Add(0, 1)
 	}
 }
 
@@ -293,10 +289,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
-}
-
-// failJSON writes the uniform error envelope and counts the error.
-func failJSON(w http.ResponseWriter, errs *obs.Counter, code int, format string, args ...any) {
-	errs.Add(0, 1)
-	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }

@@ -146,6 +146,13 @@ plans="$(curl -sf --max-time 60 "$base/metrics" | awk '$1 == "solve.plan.build" 
     echo "check.sh: expected >=1 solve plan build, got '$plans'" >&2; exit 1; }
 curl -sf --max-time 60 "$base/v1/stats" | grep -q '"uptime_sec"' || {
     echo "check.sh: /v1/stats did not answer" >&2; exit 1; }
+# A single server is a one-shard service: its /v1/stats is the same body
+# as a fleet's, with the per-shard rows and the single-flight rollup.
+single_stats="$(curl -sf --max-time 60 "$base/v1/stats")"
+echo "$single_stats" | grep -q '"shards"' || {
+    echo "check.sh: single-server /v1/stats lacks per-shard rows" >&2; exit 1; }
+echo "$single_stats" | grep -q '"single_flight"' || {
+    echo "check.sh: single-server /v1/stats lacks the single_flight rollup" >&2; exit 1; }
 kill -TERM "$serve_pid"
 reap "$serve_pid" || { echo "check.sh: tlrserve exited non-zero on SIGTERM" >&2; exit 1; }
 grep -q 'drained cleanly' "$serve_log" || {
