@@ -1,7 +1,39 @@
+// Package cluster is a virtual-cluster distributed-memory execution
+// engine: it runs a task graph across P virtual nodes, each with a
+// private tile store and its own worker-goroutine pool, connected by a
+// typed message-passing comm engine (Go channels modeling send/recv,
+// with a binomial broadcast tree for one-to-many releases such as the
+// POTRF→TRSM and TRSM→GEMM column broadcasts of the tile Cholesky).
+//
+// The graph is a sealed runtime.Graph, the same container the
+// shared-memory executor runs: its priorities order each node's ready
+// tasks, its labels and span annotations name the tasks in traces and
+// errors, and its successor lists become messages where they cross
+// nodes. Graph ids are topological, and the builder serializes the
+// writes of any tile with edges, so id order is each tile's write
+// order: the engine takes a tile's first and last writer from it to
+// place remap ship-in and write-back. All run state lives in the
+// engine, so a graph may run any number of times.
+//
+// The engine honors a dist.Remap exactly as the paper describes
+// (Section VII): a task executes at Remap.ExecRankOf of the tile it
+// writes, while the tile's storage lives at Remap.OwnerRankOf. When the
+// two differ — the band and diamond-shaped redistributions — the
+// runtime ships the tile from owner to executor before the first
+// writing task runs and ships the final value back afterwards,
+// breaking the owner-computes convention while the data keeps its
+// original layout. Every send, receive, ship and broadcast is counted
+// per node in an obs.CommTracker, so measured communication volume can
+// be printed next to the simulator's prediction for the same
+// configuration.
+//
+// Where package runtime is the shared-memory execution engine and
+// package sim only *times* distributed runs, cluster *numerically
+// executes* them: same kernels, same DAG, but with P private address
+// spaces and explicit messages, under the race detector.
 package cluster
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"sync"
@@ -10,8 +42,15 @@ import (
 
 	"tlrchol/internal/dist"
 	"tlrchol/internal/obs"
+	"tlrchol/internal/runtime"
 	"tlrchol/internal/tlr"
 )
+
+// TileID identifies one tile of the distributed matrix (row M,
+// column N, lower triangle: M ≥ N).
+type TileID struct {
+	M, N int
+}
 
 // Config selects the virtual cluster for one distributed execution.
 type Config struct {
@@ -69,6 +108,36 @@ type Stats struct {
 	Comm obs.CommSnapshot
 }
 
+// Ctx is the task body's window onto its executing node: tile reads and
+// writes go to the node's private store. Every tile a task touches must
+// be covered by a dependency edge (or be the task's own written tile),
+// which is what guarantees the store holds a current copy.
+type Ctx struct {
+	node  *node
+	track int
+}
+
+// At returns the node-local copy of tile (m,n). It panics (aborting
+// the task cleanly) if the tile has not reached this node — a missing
+// dependency edge, which the static verifier would also flag.
+func (c *Ctx) At(m, n int) *tlr.Tile {
+	t := c.node.getTile(TileID{M: m, N: n})
+	if t == nil {
+		panic(fmt.Sprintf("cluster: tile (%d,%d) not present on node %d (missing dependency?)", m, n, c.node.id))
+	}
+	return t
+}
+
+// Set stores a new value for tile (m,n) in the node's store (used by
+// kernels like the low-rank GEMM that return a fresh tile).
+func (c *Ctx) Set(m, n int, t *tlr.Tile) {
+	c.node.setTile(TileID{M: m, N: n}, t)
+}
+
+// Shard returns a stable shard index for metric increments (the global
+// worker index across all nodes).
+func (c *Ctx) Shard() int { return c.track }
+
 // Message kinds of the typed comm engine.
 type msgKind uint8
 
@@ -109,13 +178,14 @@ type msg struct {
 }
 
 // node is one virtual process: a private tile store, an inbox, a ready
-// queue and a worker pool.
+// list and a worker pool.
 type node struct {
-	id    int32
-	mu    sync.Mutex
-	cond  *sync.Cond
-	ready readyQueue
-	seq   int64
+	id   int32
+	mu   sync.Mutex
+	cond *sync.Cond
+	// ready is kept by runtime.Graph.InsertReady: the last entry runs
+	// next.
+	ready []int32
 	inbox chan msg
 
 	storeMu sync.RWMutex
@@ -152,9 +222,18 @@ func (n *node) setTile(id TileID, t *tlr.Tile) {
 
 // engine is one Run's execution state.
 type engine struct {
-	g        *Graph
-	cfg      Config
-	nodes    []*node
+	g     *runtime.Graph
+	exec  func(id int, c *Ctx) error
+	cfg   Config
+	nodes []*node
+	// Per task: the tile it writes, its executing node, its unfinished
+	// predecessors (plus a pending ship-in), and whether its tile goes
+	// back to the owner after it ran.
+	tile    []TileID
+	at      []int32
+	waits   []int32
+	wbAfter []bool
+
 	start    time.Time
 	pending  atomic.Int64
 	aborted  atomic.Bool
@@ -169,11 +248,14 @@ type engine struct {
 	commWg   sync.WaitGroup
 }
 
-// Run executes the graph on the virtual cluster. seed maps every tile
-// to its initial content; the engine scatters clones to the owner
-// nodes, runs the DAG with remap shipping, and — on success — returns
-// the final owner-side tiles. Run may be called once per graph.
-func (g *Graph) Run(seed map[TileID]*tlr.Tile, cfg Config) (Stats, map[TileID]*tlr.Tile, error) {
+// Run executes graph g on the virtual cluster: task id writes tile
+// writes(id), runs at Remap.ExecRankOf of that tile, and executes as
+// exec(id, c) against its node's store; an error or a panic aborts the
+// run. seed maps every tile to its initial content; the engine scatters
+// clones to the owner nodes, runs the graph with remap shipping, and —
+// on success — returns the final owner-side tiles.
+func Run(g *runtime.Graph, writes func(id int) TileID, exec func(id int, c *Ctx) error,
+	seed map[TileID]*tlr.Tile, cfg Config) (Stats, map[TileID]*tlr.Tile, error) {
 	if err := cfg.Validate(); err != nil {
 		return Stats{}, nil, err
 	}
@@ -182,30 +264,39 @@ func (g *Graph) Run(seed map[TileID]*tlr.Tile, cfg Config) (Stats, map[TileID]*t
 	}
 	P, W := cfg.Nodes, cfg.WorkersPerNode
 
-	e := &engine{g: g, cfg: cfg, start: time.Now()}
-	e.pending.Store(int64(len(g.tasks)))
+	nt := g.Tasks()
+	e := &engine{g: g, exec: exec, cfg: cfg, start: time.Now(),
+		tile: make([]TileID, nt), at: make([]int32, nt), waits: make([]int32, nt), wbAfter: make([]bool, nt)}
+	e.pending.Store(int64(nt))
 	// Tracks: node i worker j → i·W+j; node i's comm engine → P·W+i.
 	cfg.Tracer.StartAt(e.start, P*W+P)
 
-	// Assign executing nodes and locate each tile's first/last writer.
-	firstWriter := make(map[TileID]*Task)
-	lastWriter := make(map[TileID]*Task)
-	for _, t := range g.tasks {
-		ex := cfg.Remap.ExecRankOf(t.Writes.M, t.Writes.N)
+	// Place every task at its executing node, count its predecessors
+	// and locate each tile's first and last writer.
+	firstWriter := make(map[TileID]int32)
+	lastWriter := make(map[TileID]int32)
+	for id := 0; id < nt; id++ {
+		w := writes(id)
+		ex := cfg.Remap.ExecRankOf(w.M, w.N)
 		if ex < 0 || ex >= P {
-			return Stats{}, nil, fmt.Errorf("cluster: ExecRankOf(%d,%d) = %d out of range [0,%d)",
-				t.Writes.M, t.Writes.N, ex, P)
+			return Stats{}, nil, fmt.Errorf("cluster: ExecRankOf(%d,%d) = %d out of range [0,%d)", w.M, w.N, ex, P)
 		}
-		t.exec = int32(ex)
-		if firstWriter[t.Writes] == nil {
-			firstWriter[t.Writes] = t
+		e.tile[id], e.at[id] = w, int32(ex)
+		if _, ok := firstWriter[w]; !ok {
+			firstWriter[w] = int32(id)
 		}
-		lastWriter[t.Writes] = t
+		lastWriter[w] = int32(id)
+		for _, s := range g.Successors(id) {
+			if int(s) <= id {
+				panic("cluster: an edge does not point to a higher task id")
+			}
+			e.waits[s]++
+		}
 	}
 
 	// Build the nodes and scatter the seed tiles to their owners.
 	e.nodes = make([]*node, P)
-	capMsgs := g.edges + 2*len(seed) + 8
+	capMsgs := g.Edges() + 2*len(seed) + 8
 	for i := range e.nodes {
 		n := &node{id: int32(i), inbox: make(chan msg, capMsgs), store: make(map[TileID]*tlr.Tile)}
 		n.cond = sync.NewCond(&n.mu)
@@ -249,34 +340,30 @@ func (g *Graph) Run(seed map[TileID]*tlr.Tile, cfg Config) (Stats, map[TileID]*t
 	for _, id := range fwIDs {
 		ft := firstWriter[id]
 		owner := int32(cfg.Remap.OwnerRankOf(id.M, id.N))
-		if ft.exec == owner {
+		if e.at[ft] == owner {
 			continue
 		}
 		st := e.nodes[owner].store[id]
 		if st == nil {
-			return Stats{}, nil, fmt.Errorf("cluster: task %s writes unseeded tile (%d,%d)", ft.Label, id.M, id.N)
+			return Stats{}, nil, fmt.Errorf("cluster: task %s writes unseeded tile (%d,%d)", g.Label(int(ft)), id.M, id.N)
 		}
+		e.wbAfter[lastWriter[id]] = true
 		if st.Kind == tlr.Zero {
 			// Fill-in target: nothing to ship in, but the filled value
 			// must still return to the owner after the last write.
-			e.nodes[ft.exec].store[id] = tlr.NewZero(st.Rows, st.Cols)
-			lastWriter[id].wbAfter = true
+			e.nodes[e.at[ft]].store[id] = tlr.NewZero(st.Rows, st.Cols)
 			continue
 		}
-		ft.waits++
+		e.waits[ft]++
 		ships = append(ships, shipRec{owner: owner,
-			m: msg{kind: msgShip, id: id, payload: st.Clone(), releases: []int32{ft.id}}})
-		lastWriter[id].wbAfter = true
+			m: msg{kind: msgShip, id: id, payload: st.Clone(), releases: []int32{ft}}})
 	}
-	// ships is already in sorted tile order: the fwIDs walk above is
-	// column-major, the same order the old post-hoc sort established.
 
-	// Seed the ready queues before any goroutine starts.
-	for _, t := range g.tasks {
-		if t.waits == 0 {
-			n := e.nodes[t.exec]
-			heap.Push(&n.ready, &readyItem{t: t, seq: n.seq})
-			n.seq++
+	// Seed the ready lists before any goroutine starts.
+	for id, w := range e.waits {
+		if w == 0 {
+			n := e.nodes[e.at[id]]
+			n.ready = g.InsertReady(n.ready, int32(id))
 		}
 	}
 
@@ -293,7 +380,7 @@ func (g *Graph) Run(seed map[TileID]*tlr.Tile, cfg Config) (Stats, map[TileID]*t
 
 	// The owners ship the remapped tiles (the t=0 sends of the run).
 	for _, s := range ships {
-		e.send(e.nodes[s.owner], e.g.tasks[s.m.releases[0]].exec, s.m, true)
+		e.send(e.nodes[s.owner], e.at[s.m.releases[0]], s.m, true)
 	}
 
 	e.workerWg.Wait()
@@ -354,51 +441,49 @@ func (e *engine) worker(n *node, track int) {
 	wt := e.cfg.Tracer.Worker(track)
 	for {
 		n.mu.Lock()
-		for n.ready.Len() == 0 && !e.finished() {
+		for len(n.ready) == 0 && !e.finished() {
 			n.cond.Wait()
 		}
-		if e.aborted.Load() || n.ready.Len() == 0 {
+		if e.aborted.Load() || len(n.ready) == 0 {
 			n.mu.Unlock()
 			return
 		}
-		it := heap.Pop(&n.ready).(*readyItem)
+		id := n.ready[len(n.ready)-1]
+		n.ready = n.ready[:len(n.ready)-1]
 		n.mu.Unlock()
 
-		t := it.t
-		t.ran = true
 		startedAt := time.Since(e.start)
 		t0 := time.Now()
-		err := runTask(t, &Ctx{node: n, track: track})
+		err := e.call(int(id), &Ctx{node: n, track: track})
 		d := time.Since(t0)
 		n.busyNs.Add(int64(d))
 		n.tasksRun.Add(1)
-		wt.Span(t.Label, t.Info, startedAt, d)
-		e.complete(n, t, err)
+		if wt != nil {
+			wt.Span(e.g.Label(int(id)), e.g.TaskInfo(int(id)), startedAt, d)
+		}
+		e.complete(n, id, err)
 	}
 }
 
-// runTask executes a task body, converting panics into errors so a
+// call executes a task body, converting panics into errors so a
 // crashing kernel aborts the distributed run cleanly.
-func runTask(t *Task, ctx *Ctx) (err error) {
+func (e *engine) call(id int, ctx *Ctx) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	if t.Run == nil {
-		return nil
-	}
-	return t.Run(ctx)
+	return e.exec(id, ctx)
 }
 
-// complete releases t's successors — locally by counter decrement,
-// remotely by a broadcast of the written tile — and handles remap
-// write-back and termination.
-func (e *engine) complete(n *node, t *Task, err error) {
+// complete releases task id's successors — locally by counter
+// decrement, remotely by a broadcast of the written tile — and handles
+// remap write-back and termination.
+func (e *engine) complete(n *node, id int32, err error) {
 	if err != nil {
 		e.errMu.Lock()
 		if e.firstErr == nil {
-			e.firstErr = fmt.Errorf("node %d: task %s: %w", n.id, t.Label, err)
+			e.firstErr = fmt.Errorf("node %d: task %s: %w", n.id, e.g.Label(int(id)), err)
 		}
 		e.errMu.Unlock()
 		e.aborted.Store(true)
@@ -407,12 +492,11 @@ func (e *engine) complete(n *node, t *Task, err error) {
 		return
 	}
 
-	var localReady []*Task
+	var localReady []int32
 	var remote map[int32][]int32
-	for _, si := range t.succs {
-		s := e.g.tasks[si]
-		if s.exec == n.id {
-			if atomic.AddInt32(&s.waits, -1) == 0 {
+	for _, s := range e.g.Successors(int(id)) {
+		if e.at[s] == n.id {
+			if atomic.AddInt32(&e.waits[s], -1) == 0 {
 				localReady = append(localReady, s)
 			}
 			continue
@@ -420,9 +504,10 @@ func (e *engine) complete(n *node, t *Task, err error) {
 		if remote == nil {
 			remote = make(map[int32][]int32, 4)
 		}
-		remote[s.exec] = append(remote[s.exec], si)
+		remote[e.at[s]] = append(remote[e.at[s]], s)
 	}
 	if !e.aborted.Load() {
+		tile := e.tile[id]
 		// Remote sends clone the written tile, so they must complete
 		// before any local successor — possibly the tile's next writer —
 		// is released and can mutate it.
@@ -433,11 +518,11 @@ func (e *engine) complete(n *node, t *Task, err error) {
 			}
 			sort.Slice(dests, func(i, j int) bool { return dests[i].node < dests[j].node })
 			e.cfg.Comm.Bcast(int(n.id), len(dests))
-			e.bcast(n, t.Writes, n.getTile(t.Writes), dests)
+			e.bcast(n, tile, n.getTile(tile), dests)
 		}
-		if t.wbAfter {
-			owner := int32(e.cfg.Remap.OwnerRankOf(t.Writes.M, t.Writes.N))
-			e.send(n, owner, msg{kind: msgWriteback, id: t.Writes, payload: n.getTile(t.Writes).Clone()}, true)
+		if e.wbAfter[id] {
+			owner := int32(e.cfg.Remap.OwnerRankOf(tile.M, tile.N))
+			e.send(n, owner, msg{kind: msgWriteback, id: tile, payload: n.getTile(tile).Clone()}, true)
 		}
 		if len(localReady) > 0 {
 			e.pushReady(n, localReady)
@@ -448,13 +533,12 @@ func (e *engine) complete(n *node, t *Task, err error) {
 	}
 }
 
-// pushReady inserts newly runnable tasks into n's queue and wakes the
-// pool.
-func (e *engine) pushReady(n *node, ts []*Task) {
+// pushReady inserts newly runnable tasks into n's ready list and wakes
+// the pool.
+func (e *engine) pushReady(n *node, ids []int32) {
 	n.mu.Lock()
-	for _, t := range ts {
-		heap.Push(&n.ready, &readyItem{t: t, seq: n.seq})
-		n.seq++
+	for _, id := range ids {
+		n.ready = e.g.InsertReady(n.ready, id)
 	}
 	n.mu.Unlock()
 	n.cond.Broadcast()
@@ -480,9 +564,6 @@ func (e *engine) bcast(from *node, id TileID, payload *tlr.Tile, dests []bcastDe
 
 // send transmits one message, counting it against the sender.
 func (e *engine) send(from *node, to int32, m msg, ship bool) {
-	if m.kind == msgShip {
-		to = e.g.tasks[m.releases[0]].exec
-	}
 	m.from = from.id
 	bytes := m.payload.Bytes()
 	if ship {
@@ -511,10 +592,9 @@ func (e *engine) commLoop(n *node, track int) {
 			e.bcast(n, m.id, m.payload, m.subtree)
 		}
 		if len(m.releases) > 0 && !e.aborted.Load() {
-			var ready []*Task
-			for _, si := range m.releases {
-				s := e.g.tasks[si]
-				if atomic.AddInt32(&s.waits, -1) == 0 {
+			var ready []int32
+			for _, s := range m.releases {
+				if atomic.AddInt32(&e.waits[s], -1) == 0 {
 					ready = append(ready, s)
 				}
 			}

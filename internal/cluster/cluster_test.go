@@ -11,6 +11,7 @@ import (
 	"tlrchol/internal/dense"
 	"tlrchol/internal/dist"
 	"tlrchol/internal/obs"
+	"tlrchol/internal/runtime"
 	"tlrchol/internal/tlr"
 )
 
@@ -23,17 +24,39 @@ func scalarTile(v float64) *tlr.Tile {
 
 func scalarOf(t *tlr.Tile) float64 { return t.D.Data[0] }
 
+// testGraph is a hand-built graph: the tile each task writes and its
+// body, by task id.
+type testGraph struct {
+	g      runtime.Graph
+	labels []string
+	writes []TileID
+	bodies []func(c *Ctx) error
+}
+
+// add appends a task writing tile w.
+func (tg *testGraph) add(label string, prio int64, w TileID, body func(c *Ctx) error) int32 {
+	tg.labels = append(tg.labels, label)
+	tg.writes = append(tg.writes, w)
+	tg.bodies = append(tg.bodies, body)
+	tg.g.LabelFunc = func(id int) string { return tg.labels[id] }
+	return tg.g.Add(prio)
+}
+
+func (tg *testGraph) run(seed map[TileID]*tlr.Tile, cfg Config) (Stats, map[TileID]*tlr.Tile, error) {
+	return Run(&tg.g, func(id int) TileID { return tg.writes[id] },
+		func(id int, c *Ctx) error { return tg.bodies[id](c) }, seed, cfg)
+}
+
 // chainGraph builds nt tiles in column 0; task i writes tile (i,0) as
 // f(own seed, tile (i-1,0)) — every consecutive pair is an edge, so on
 // a cyclic distribution every edge is a cross-node message.
-func chainGraph(nt int) (*Graph, map[TileID]*tlr.Tile) {
-	g := NewGraph()
+func chainGraph(nt int) (*testGraph, map[TileID]*tlr.Tile) {
+	g := &testGraph{}
 	seed := make(map[TileID]*tlr.Tile, nt)
-	var prev *Task
 	for i := 0; i < nt; i++ {
 		i := i
 		seed[TileID{i, 0}] = scalarTile(float64(i + 1))
-		t := g.NewTask(fmt.Sprintf("step(%d)", i), int64(nt-i), TileID{i, 0}, func(c *Ctx) error {
+		t := g.add(fmt.Sprintf("step(%d)", i), int64(nt-i), TileID{i, 0}, func(c *Ctx) error {
 			v := scalarOf(c.At(i, 0))
 			if i > 0 {
 				v += 2 * scalarOf(c.At(i-1, 0))
@@ -41,10 +64,9 @@ func chainGraph(nt int) (*Graph, map[TileID]*tlr.Tile) {
 			c.At(i, 0).D.Data[0] = v
 			return nil
 		})
-		if prev != nil {
-			g.AddDep(prev, t)
+		if i > 0 {
+			g.g.Dep(t-1, t)
 		}
-		prev = t
 	}
 	return g, seed
 }
@@ -67,7 +89,7 @@ func TestChainAcrossNodes(t *testing.T) {
 		for _, workers := range []int{1, 3} {
 			g, seed := chainGraph(nt)
 			comm := obs.NewCommTracker(nodes)
-			st, out, err := g.Run(seed, Config{
+			st, out, err := g.run(seed, Config{
 				Nodes: nodes, WorkersPerNode: workers,
 				Remap: dist.Remap{Data: dist.TwoDBC{P: nodes, Q: 1}},
 				Comm:  comm,
@@ -117,7 +139,7 @@ func TestRemapShipInWriteBack(t *testing.T) {
 	g, seed := chainGraph(nt)
 	comm := obs.NewCommTracker(nodes)
 	remap := dist.Remap{Data: dist.TwoDBC{P: nodes, Q: 1}, Exec: execOnZero{procs: nodes}}
-	_, out, err := g.Run(seed, Config{Nodes: nodes, Remap: remap, Comm: comm})
+	_, out, err := g.run(seed, Config{Nodes: nodes, Remap: remap, Comm: comm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,23 +172,23 @@ func TestRemapShipInWriteBack(t *testing.T) {
 // tree must deliver exactly one copy per destination node.
 func TestBroadcastFanout(t *testing.T) {
 	const nodes = 8
-	g := NewGraph()
+	g := &testGraph{}
 	seed := map[TileID]*tlr.Tile{{0, 0}: scalarTile(7)}
-	root := g.NewTask("produce", 10, TileID{0, 0}, func(c *Ctx) error {
+	root := g.add("produce", 10, TileID{0, 0}, func(c *Ctx) error {
 		c.At(0, 0).D.Data[0] *= 3
 		return nil
 	})
 	for i := 1; i < nodes; i++ {
 		i := i
 		seed[TileID{i, 0}] = scalarTile(0)
-		ct := g.NewTask(fmt.Sprintf("consume(%d)", i), 0, TileID{i, 0}, func(c *Ctx) error {
+		ct := g.add(fmt.Sprintf("consume(%d)", i), 0, TileID{i, 0}, func(c *Ctx) error {
 			c.At(i, 0).D.Data[0] = scalarOf(c.At(0, 0)) + float64(i)
 			return nil
 		})
-		g.AddDep(root, ct)
+		g.g.Dep(root, ct)
 	}
 	comm := obs.NewCommTracker(nodes)
-	_, out, err := g.Run(seed, Config{Nodes: nodes, Remap: dist.Remap{Data: dist.TwoDBC{P: nodes, Q: 1}}, Comm: comm})
+	_, out, err := g.run(seed, Config{Nodes: nodes, Remap: dist.Remap{Data: dist.TwoDBC{P: nodes, Q: 1}}, Comm: comm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,26 +216,24 @@ func TestBroadcastFanout(t *testing.T) {
 
 func TestAbortMidDAG(t *testing.T) {
 	const nt, nodes = 40, 4
-	g := NewGraph()
+	g := &testGraph{}
 	seed := make(map[TileID]*tlr.Tile, nt)
-	var prev *Task
 	for i := 0; i < nt; i++ {
 		i := i
 		seed[TileID{i, 0}] = scalarTile(1)
-		t2 := g.NewTask(fmt.Sprintf("step(%d)", i), 0, TileID{i, 0}, func(c *Ctx) error {
+		t2 := g.add(fmt.Sprintf("step(%d)", i), 0, TileID{i, 0}, func(c *Ctx) error {
 			if i == nt/2 {
 				return errors.New("kernel blew up")
 			}
 			return nil
 		})
-		if prev != nil {
-			g.AddDep(prev, t2)
+		if i > 0 {
+			g.g.Dep(t2-1, t2)
 		}
-		prev = t2
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := g.Run(seed, Config{Nodes: nodes, Remap: dist.Remap{Data: dist.TwoDBC{P: nodes, Q: 1}}})
+		_, _, err := g.run(seed, Config{Nodes: nodes, Remap: dist.Remap{Data: dist.TwoDBC{P: nodes, Q: 1}}})
 		done <- err
 	}()
 	select {
@@ -229,13 +249,13 @@ func TestAbortMidDAG(t *testing.T) {
 // TestMissingDependencyPanicAborts: a task reading a tile no edge
 // delivers must fail the run with a usable error, not crash the process.
 func TestMissingDependencyPanicAborts(t *testing.T) {
-	g := NewGraph()
+	g := &testGraph{}
 	seed := map[TileID]*tlr.Tile{{0, 0}: scalarTile(1), {1, 0}: scalarTile(1)}
-	g.NewTask("bad", 0, TileID{1, 0}, func(c *Ctx) error {
+	g.add("bad", 0, TileID{1, 0}, func(c *Ctx) error {
 		_ = c.At(0, 0) // owned by another node, no edge ships it
 		return nil
 	})
-	_, _, err := g.Run(seed, Config{Nodes: 2, Remap: dist.Remap{Data: dist.TwoDBC{P: 2, Q: 1}}})
+	_, _, err := g.run(seed, Config{Nodes: 2, Remap: dist.Remap{Data: dist.TwoDBC{P: 2, Q: 1}}})
 	if err == nil || !strings.Contains(err.Error(), "missing dependency") {
 		t.Fatalf("want missing-dependency error, got %v", err)
 	}
@@ -249,8 +269,36 @@ func TestConfigValidate(t *testing.T) {
 		{Nodes: 3, Remap: dist.Remap{Data: dist.TwoDBC{P: 4, Q: 1}}},
 	}
 	for i, cfg := range cases {
-		if _, _, err := g.Run(seed, cfg); err == nil {
+		if _, _, err := g.run(seed, cfg); err == nil {
 			t.Fatalf("case %d: invalid config accepted", i)
+		}
+	}
+}
+
+// TestRunTwice: all run state lives in the engine, so one sealed graph
+// runs twice, here under remap shipping, with identical tiles and task
+// counts.
+func TestRunTwice(t *testing.T) {
+	const nt, nodes = 13, 4
+	g, seed := chainGraph(nt)
+	cfg := Config{Nodes: nodes, WorkersPerNode: 2,
+		Remap: dist.Remap{Data: dist.TwoDBC{P: nodes, Q: 1}, Exec: execOnZero{procs: nodes}}}
+	st1, out1, err := g.run(seed, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2, out2, err := g.run(seed, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st1.Executed != nt || st2.Executed != nt {
+		t.Fatalf("executed %d then %d tasks, want %d both times", st1.Executed, st2.Executed, nt)
+	}
+	want := chainExpect(nt)
+	for i := 0; i < nt; i++ {
+		a, b := scalarOf(out1[TileID{i, 0}]), scalarOf(out2[TileID{i, 0}])
+		if a != want[i] || b != want[i] {
+			t.Fatalf("tile %d: runs gave %g and %g, want %g", i, a, b, want[i])
 		}
 	}
 }

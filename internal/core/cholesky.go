@@ -281,6 +281,22 @@ func sequential(ctx context.Context, m *tilemat.Matrix, s trim.Structure, f fact
 // verify) can independently replay the access stream and prove the
 // edges cover every RAW/WAR/WAW hazard.
 func BuildGraph(m *tilemat.Matrix, s trim.Structure, opts Options, form tilemat.Form) (*runtime.Graph, runtime.Exec) {
+	g, nodes, f := buildGraph(m, s, opts, form)
+	return g, func(id, worker int, _ *dense.Workspace) error {
+		switch nd := &nodes[id]; nd.kind {
+		case subTask:
+			return nd.runNested(m.At(nd.t.K, nd.t.K).D, opts.NestedDiag)
+		case walkTask:
+			return f.run(nd.t, m, worker, g.TaskInfo(id))
+		}
+		return nil // a nested POTRF's join
+	}
+}
+
+// buildGraph is BuildGraph without the Exec: the graph, its nodes by
+// id and the factorization their bodies run. FactorizeDistributed runs
+// the same graph on the virtual cluster.
+func buildGraph(m *tilemat.Matrix, s trim.Structure, opts Options, form tilemat.Form) (*runtime.Graph, []node, factorization) {
 	g := &runtime.Graph{}
 	g.Observe(opts.Tracer)
 	f := newFactorization(form, opts.Tol, opts.MaxRank, opts.Metrics)
@@ -308,27 +324,18 @@ func BuildGraph(m *tilemat.Matrix, s trim.Structure, opts Options, form tilemat.
 		}
 		ids = append(ids, id)
 	})
+	// Span annotations, pre-filled with the tile coordinates, exist only
+	// when a tracer observes the run: the untraced graph keeps Info nil
+	// and allocation-free, on the runtime and on the virtual cluster.
 	if opts.Tracer != nil {
 		g.Info = make([]*obs.SpanInfo, len(nodes))
 		for id, nd := range nodes {
 			if nd.kind == walkTask {
-				g.Info[id] = spanInfo(true, nd.t.K, nd.t.M, nd.t.N)
+				g.Info[id] = &obs.SpanInfo{K: int32(nd.t.K), M: int32(nd.t.M), N: int32(nd.t.N)}
 			}
 		}
 	}
 	g.LabelFunc = func(id int) string { return nodes[id].label(f) }
 	g.AccessFunc = func(id int) []runtime.Access { return nodes[id].accesses(f) }
-	return g, func(id, worker int, _ *dense.Workspace) error {
-		switch nd := &nodes[id]; nd.kind {
-		case subTask:
-			return nd.runNested(m.At(nd.t.K, nd.t.K).D, opts.NestedDiag)
-		case walkTask:
-			var info *obs.SpanInfo
-			if g.Info != nil {
-				info = g.Info[id]
-			}
-			return f.run(nd.t, m, worker, info)
-		}
-		return nil // a nested POTRF's join
-	}
+	return g, nodes, f
 }

@@ -49,39 +49,28 @@ type DistReport struct {
 // (possibly trimmed) walk executes at the Remap's executing ranks with
 // tiles moving only as messages, and the factor is gathered back into
 // m. The result is tile-for-tile identical to the shared-memory
-// Factorize: the graph is the same walk with the same task bodies, so
-// every tile's write chain is serialized in the same order on a single
-// node, and the kernels are deterministic. Task bodies read and write
-// through the executing node's private store (cluster.Ctx) instead of
-// the shared tilemat.
+// Factorize: the graph is the one BuildGraph builds (without nested
+// POTRFs) and the task bodies are the same, so every tile's write chain
+// is serialized in the same order on a single node, and the kernels are
+// deterministic. Task bodies read and write through the executing
+// node's private store (cluster.Ctx) instead of the shared tilemat.
 func FactorizeDistributed(m *tilemat.Matrix, opts DistOptions) (DistReport, error) {
 	var rep DistReport
 	if opts.Tol <= 0 {
 		return rep, fmt.Errorf("core: DistOptions.Tol must be positive, got %g", opts.Tol)
 	}
 	sum, err := factorize(nil, m, tilemat.FormCholesky, opts.Trim, opts.Metrics, func(s trim.Structure) error {
-		f := newFactorization(tilemat.FormCholesky, opts.Tol, opts.MaxRank, opts.Metrics)
-		traced := opts.Tracer != nil
-		g := cluster.NewGraph()
-		var tasks []*cluster.Task
-		trim.Walk(s, func(t trim.Task) {
-			task := g.NewTask(f.label(t), t.Prio, cluster.TileID{M: t.M, N: t.N}, nil)
-			task.Info = spanInfo(traced, t.K, t.M, t.N)
-			task.Run = func(c *cluster.Ctx) error { return f.run(t, c, c.Shard(), task.Info) }
-			for _, p := range t.Preds {
-				if p >= 0 {
-					g.AddDep(tasks[p], task)
-				}
-			}
-			tasks = append(tasks, task)
-		})
+		g, nodes, f := buildGraph(m, s, Options{Tol: opts.Tol, MaxRank: opts.MaxRank, Tracer: opts.Tracer, Metrics: opts.Metrics},
+			tilemat.FormCholesky)
+		writes := func(id int) cluster.TileID { return cluster.TileID{M: nodes[id].t.M, N: nodes[id].t.N} }
+		exec := func(id int, c *cluster.Ctx) error { return f.run(nodes[id].t, c, c.Shard(), g.TaskInfo(id)) }
 		seed := make(map[cluster.TileID]*tlr.Tile, m.NT*(m.NT+1)/2)
 		for i := 0; i < m.NT; i++ {
 			for j := 0; j <= i; j++ {
 				seed[cluster.TileID{M: i, N: j}] = m.At(i, j)
 			}
 		}
-		st, out, err := g.Run(seed, cluster.Config{
+		st, out, err := cluster.Run(g, writes, exec, seed, cluster.Config{
 			Nodes: opts.Nodes, WorkersPerNode: opts.WorkersPerNode,
 			Remap: opts.Remap, Tracer: opts.Tracer, Comm: opts.Comm,
 		})

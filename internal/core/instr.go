@@ -153,14 +153,3 @@ func (in *instr) update(c, shard, ka, kb, kc int, out *tlr.Tile, info *obs.SpanI
 		info.Flops = effF
 	}
 }
-
-// spanInfo allocates a task's span annotation, pre-filled with the tile
-// coordinates, only when a tracer is observing the run — the untraced
-// path keeps runtime.Graph.Info and cluster.Task.Info nil and
-// allocation-free.
-func spanInfo(traced bool, k, m, n int) *obs.SpanInfo {
-	if !traced {
-		return nil
-	}
-	return &obs.SpanInfo{K: int32(k), M: int32(m), N: int32(n)}
-}

@@ -2,12 +2,17 @@
 // spirit of PaRSEC: a DAG of tasks runs on a worker pool, each task once
 // its last predecessor has finished, highest priority (critical path)
 // first. Tile compression (package tilemat), the TLR factorization and
-// the planned solve (package core) all run on it; package sim plays the
-// same role for simulated distributed-memory executions. A graph is
-// int32 CSR built ahead of execution — factorization graphs from a
+// the planned solve (package core) all run on it. A graph is int32 CSR
+// built ahead of execution — factorization graphs from a
 // trim.Structure, so trimmed tasks are never created — and every task
 // runs through one Exec callback: a run allocates nothing per task, and
 // a warm run of a reused graph nothing at all.
+//
+// Graph is also the task graph of the tree's other two executors: the
+// virtual cluster (package cluster) runs a sealed Graph across private
+// node stores, and the simulator (package sim) plays one on a modelled
+// machine. Both take priorities, labels and successors from it, keep
+// their run state outside it, and order ready tasks by InsertReady.
 package runtime
 
 import (
@@ -136,6 +141,14 @@ func (g *Graph) Label(id int) string {
 		return strconv.Itoa(id)
 	}
 	return g.LabelFunc(id)
+}
+
+// TaskInfo returns task id's span annotation, nil without one.
+func (g *Graph) TaskInfo(id int) *obs.SpanInfo {
+	if g.Info == nil {
+		return nil
+	}
+	return g.Info[id]
 }
 
 // Bytes returns the footprint of the scheduling arrays.
@@ -333,11 +346,7 @@ func (r *run) work(w int) {
 			g.recs[t] = record{ran: true, worker: int32(w), start: start, dur: dur}
 			r.busy.Add(int64(dur))
 			if wt != nil {
-				var info *obs.SpanInfo
-				if g.Info != nil {
-					info = g.Info[t]
-				}
-				wt.Span(g.Label(int(t)), info, start, dur)
+				wt.Span(g.Label(int(t)), g.TaskInfo(int(t)), start, dur)
 			}
 		}
 		ws.Reset()
@@ -385,18 +394,25 @@ func (r *run) fail(err error) {
 	r.cond.Broadcast()
 }
 
-// pushLocked inserts a ready task. The ready list is sorted by
-// ascending priority, and a task goes below the ready tasks of equal
-// priority, so the last entry runs next: highest priority first, ties
-// in release order. Ready sets stay small (a dozen tasks on the
-// benchmark's factorizations), where a sorted insertion is as cheap as
-// a heap.
+// pushLocked inserts a ready task.
 func (r *run) pushLocked(t int32) {
-	prio := r.g.prio
-	i, _ := slices.BinarySearchFunc(r.ready, t, func(a, b int32) int { return cmp.Compare(prio[a], prio[b]) })
-	r.ready = slices.Insert(r.ready, i, t)
+	r.ready = r.g.InsertReady(r.ready, t)
 	r.maxReady = max(r.maxReady, len(r.ready))
 	r.sample()
+}
+
+// InsertReady inserts task t into a ready list whose last entry runs
+// next, and returns the list. The list is sorted by ascending priority
+// and t goes below the ready tasks of equal priority: highest priority
+// first, ties in release order. Every executor of a Graph schedules
+// this way: this package's, the virtual cluster's nodes (package
+// cluster) and the simulated processes (package sim). Ready sets stay
+// small (a dozen tasks on the benchmark's factorizations), where a
+// sorted insertion is as cheap as a heap.
+func (g *Graph) InsertReady(ready []int32, t int32) []int32 {
+	prio := g.prio
+	i, _ := slices.BinarySearchFunc(ready, t, func(a, b int32) int { return cmp.Compare(prio[a], prio[b]) })
+	return slices.Insert(ready, i, t)
 }
 
 // sample records the ready-queue depth on a traced run.

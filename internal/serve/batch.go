@@ -219,35 +219,46 @@ func (b *Batcher) execute(f *Factor, p SolveParams, jobs []*solveJob) {
 	b.columns.Add(0, uint64(total))
 	b.width.Observe(0, float64(total))
 
-	wide := dense.NewMatrix(n, total)
-	at := 0
-	for _, j := range jobs {
-		for c := 0; c < j.cols.Cols; c++ {
-			for r := 0; r < n; r++ {
-				wide.Set(r, at+c, j.cols.At(r, c))
-			}
-		}
-		at += j.cols.Cols
-	}
-
-	waited := time.Now()
 	var (
+		wide       *dense.Matrix
 		residuals  []float64
 		iterations []int
 		subst      time.Duration
-		err        error
 	)
-	if p.Refine {
-		// Refinement interleaves substitutions with operator applies;
-		// RefineResult.SubstTime isolates the pure substitution share so
-		// the latency breakdown separates subst from refine overhead.
-		var res core.RefineResult
-		res, err = f.Plan.RefineCtx(ctx, f.L, core.TLROperator{M: f.Op}, wide, p.MaxIter, p.Target, b.workers)
-		subst = res.SubstTime
-		if err == nil {
-			residuals, iterations = res.ColResiduals, res.ColIterations
+	waited := time.Now()
+	// A panic anywhere in the batch (assembly, the solve, the residuals)
+	// fails every job through the error path: a follower must not wait
+	// out its own context, and a promoted batch runs on a detached
+	// goroutine, where a panic would take down the process.
+	err := func() (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		wide = dense.NewMatrix(n, total)
+		at := 0
+		for _, j := range jobs {
+			for c := 0; c < j.cols.Cols; c++ {
+				for r := 0; r < n; r++ {
+					wide.Set(r, at+c, j.cols.At(r, c))
+				}
+			}
+			at += j.cols.Cols
 		}
-	} else {
+
+		waited = time.Now()
+		if p.Refine {
+			// Refinement interleaves substitutions with operator applies;
+			// RefineResult.SubstTime isolates the pure substitution share
+			// so the latency breakdown separates subst from refine
+			// overhead.
+			var res core.RefineResult
+			res, err = f.Plan.RefineCtx(ctx, f.L, core.TLROperator{M: f.Op}, wide, p.MaxIter, p.Target, b.workers)
+			subst = res.SubstTime
+			residuals, iterations = res.ColResiduals, res.ColIterations
+			return err
+		}
 		rhs := wide.Clone()
 		substStart := time.Now()
 		err = f.Plan.SolveCtx(ctx, f.L, wide, b.workers)
@@ -255,7 +266,8 @@ func (b *Batcher) execute(f *Factor, p SolveParams, jobs []*solveJob) {
 		if err == nil {
 			residuals = core.ColumnResiduals(core.TLROperator{M: f.Op}, wide, rhs)
 		}
-	}
+		return err
+	}()
 	if err != nil {
 		err = fmt.Errorf("batched solve (%d columns): %w", total, err)
 	}
@@ -266,7 +278,7 @@ func (b *Batcher) execute(f *Factor, p SolveParams, jobs []*solveJob) {
 		leader = lrt.ID
 	}
 
-	at = 0
+	at := 0
 	for _, j := range jobs {
 		k := j.cols.Cols
 		out := solveOutcome{batchCols: total, waited: waited.Sub(j.start), solved: solved, subst: subst, leader: leader, err: err}

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -196,5 +198,79 @@ func TestBatcherLeaderCancelPromotion(t *testing.T) {
 	// after it; an unmanaged test factor must be left intact.
 	if f.L == nil || f.refs.Load() != 0 {
 		t.Fatalf("factor lifetime mishandled after promotion (refs %d)", f.refs.Load())
+	}
+}
+
+// TestBatcherPanicFailsEveryJob: a panic inside the batch (here the
+// residual check, whose operator was built at another N than the
+// factor) must reach every job of the batch as an error, promptly, for
+// a batch run by its leader and for one promoted after the leader was
+// cancelled, whose detached goroutine must not take the process down.
+func TestBatcherPanicFailsEveryJob(t *testing.T) {
+	const n = 256
+	good := buildTestFactor(t, n)
+	bad := &Factor{FP: "mismatched", L: good.L, Op: buildTestFactor(t, 2*n).Op, Plan: good.Plan}
+	rng := rand.New(rand.NewSource(9))
+
+	for _, promoted := range []bool{false, true} {
+		// The window outlasts the test: the follower's column fills a
+		// two-column batch, or the leader's cancellation promotes it.
+		maxCols := 2
+		if promoted {
+			maxCols = 16
+		}
+		b := NewBatcher(time.Minute, maxCols, time.Minute, 2, obs.NewRegistry(4))
+		leaderCtx, cancel := context.WithCancel(context.Background())
+		followerCtx, stop := context.WithTimeout(context.Background(), 10*time.Second)
+		var wg sync.WaitGroup
+		var leaderOut, followerOut solveOutcome
+		leaderCols, followerCols := dense.Random(rng, n, 1), dense.Random(rng, n, 1)
+		start := time.Now()
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			leaderOut = b.Solve(leaderCtx, bad, SolveParams{}, leaderCols)
+		}()
+		waitJobs(b, bad, 1) // the leader is parked in its window
+		go func() {
+			defer wg.Done()
+			followerOut = b.Solve(followerCtx, bad, SolveParams{}, followerCols)
+		}()
+		if promoted {
+			waitJobs(b, bad, 2)
+			cancel()
+		}
+		wg.Wait()
+		elapsed := time.Since(start)
+		cancel()
+		stop()
+
+		if followerOut.err == nil || !strings.Contains(followerOut.err.Error(), "panic") {
+			t.Fatalf("promoted=%v: follower got %v, want the batch's panic as an error", promoted, followerOut.err)
+		}
+		if promoted {
+			if !errors.Is(leaderOut.err, context.Canceled) {
+				t.Fatalf("cancelled leader: want context.Canceled, got %v", leaderOut.err)
+			}
+		} else if leaderOut.err == nil || !strings.Contains(leaderOut.err.Error(), "panic") {
+			t.Fatalf("leader got %v, want the batch's panic as an error", leaderOut.err)
+		}
+		if elapsed > 5*time.Second {
+			t.Fatalf("promoted=%v: jobs took %v to fail", promoted, elapsed)
+		}
+	}
+}
+
+// waitJobs returns once the pending batch for f holds n jobs.
+func waitJobs(b *Batcher, f *Factor, n int) {
+	for {
+		b.mu.Lock()
+		pb := b.pending[batchKey{fp: f.FP}]
+		joined := pb != nil && len(pb.jobs) >= n
+		b.mu.Unlock()
+		if joined {
+			return
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

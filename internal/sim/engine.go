@@ -95,15 +95,15 @@ func (r Result) Efficiency() float64 {
 // kindNames labels the simulated tasks by trim.Class.
 var kindNames = [...]string{"potrf", "trsm", "syrk", "gemm"}
 
+// simTask is what the simulator adds to a task of the graph: the tile
+// it writes (for its label and broadcast payload), its process, and its
+// cost; a null task does no flops.
 type simTask struct {
 	kind    trim.Class
 	k, m, n int32
-	deps    int32
 	proc    int32
 	null    bool
 	cost    float64
-	prio    int64
-	succs   []int32
 }
 
 // Validate reports configuration errors as usable messages instead of
@@ -133,22 +133,23 @@ func Run(w Workload, cfg Config) (Result, error) {
 	if w.NT <= 0 || w.B <= 0 {
 		return Result{}, fmt.Errorf("sim: workload has NT=%d B=%d, both must be positive", w.NT, w.B)
 	}
-	tasks, res := buildDAG(w, cfg)
-	runEventLoop(tasks, w, cfg, &res)
+	g, tasks, res := buildDAG(w, cfg)
+	runEventLoop(g, tasks, w, cfg, &res)
 	res.CriticalPathTime = CriticalPathTime(w, cfg.Machine)
 	accountMemory(w, cfg, &res)
 	return res, nil
 }
 
 // buildDAG materializes the (possibly trimmed) task DAG of trim.Walk —
-// the graph the real backends execute — with per-class costs,
-// executing processes and ship-in charges.
-func buildDAG(w Workload, cfg Config) ([]simTask, Result) {
+// the graph the real backends execute — as a runtime.Graph, and per
+// task its class cost, executing process and ship-in charge.
+func buildDAG(w Workload, cfg Config) (*runtime.Graph, []simTask, Result) {
 	nt := w.NT
 	b := w.B
 	mch := cfg.Machine
 	var res Result
 
+	g := &runtime.Graph{}
 	tasks := make([]simTask, 0, nt*4)
 	tileKey := func(m, n int) int64 { return int64(m)*int64(nt) + int64(n) }
 
@@ -193,7 +194,6 @@ func buildDAG(w Workload, cfg Config) ([]simTask, Result) {
 		tk := simTask{
 			kind: t.Class, k: int32(t.K), m: int32(t.M), n: int32(t.N),
 			proc: int32(cfg.Remap.ExecRankOf(t.M, t.N)),
-			prio: t.Prio,
 		}
 		ship := true
 		switch t.Class {
@@ -220,12 +220,11 @@ func buildDAG(w Workload, cfg Config) ([]simTask, Result) {
 			ship = !tk.null || w.initRank(t.M, t.N) > 0
 			res.Gemm++
 		}
-		id := int32(len(tasks))
+		id := g.Add(t.Prio)
 		tasks = append(tasks, tk)
 		for _, p := range t.Preds {
 			if p >= 0 {
-				tasks[p].succs = append(tasks[p].succs, id)
-				tasks[id].deps++
+				g.Dep(p, id)
 			}
 		}
 		if ship {
@@ -236,7 +235,11 @@ func buildDAG(w Workload, cfg Config) ([]simTask, Result) {
 		}
 	})
 	res.Tasks = len(tasks)
-	return tasks, res
+	g.LabelFunc = func(id int) string {
+		tk := &tasks[id]
+		return fmt.Sprintf("%s(%d,%d,%d)", kindNames[tk.kind], tk.k, tk.m, tk.n)
+	}
+	return g, tasks, res
 }
 
 // event is one entry of the discrete-event queue.
@@ -269,57 +272,23 @@ func (q *eventQueue) Pop() interface{} {
 	return e
 }
 
-// readyHeap orders ready tasks by priority.
-type readyHeap struct {
-	prio  []int64
-	seq   []int64
-	tasks []int32
-}
-
-func (h readyHeap) Len() int { return len(h.tasks) }
-func (h readyHeap) Less(i, j int) bool {
-	if h.prio[i] != h.prio[j] {
-		return h.prio[i] > h.prio[j]
-	}
-	return h.seq[i] < h.seq[j]
-}
-func (h readyHeap) Swap(i, j int) {
-	h.prio[i], h.prio[j] = h.prio[j], h.prio[i]
-	h.seq[i], h.seq[j] = h.seq[j], h.seq[i]
-	h.tasks[i], h.tasks[j] = h.tasks[j], h.tasks[i]
-}
-func (h *readyHeap) Push(x interface{}) { panic("use pushTask") }
-func (h *readyHeap) Pop() interface{}   { panic("use popTask") }
-
-func (h *readyHeap) pushTask(id int32, prio, seq int64) {
-	h.prio = append(h.prio, prio)
-	h.seq = append(h.seq, seq)
-	h.tasks = append(h.tasks, id)
-	heap.Fix(h, len(h.tasks)-1)
-}
-
-func (h *readyHeap) popTask() int32 {
-	id := h.tasks[0]
-	n := len(h.tasks) - 1
-	h.Swap(0, n)
-	h.prio = h.prio[:n]
-	h.seq = h.seq[:n]
-	h.tasks = h.tasks[:n]
-	if n > 0 {
-		heap.Fix(h, 0)
-	}
-	return id
-}
-
-// runEventLoop plays the DAG on the simulated machine.
-func runEventLoop(tasks []simTask, w Workload, cfg Config, res *Result) {
+// runEventLoop plays graph g on the simulated machine.
+func runEventLoop(g *runtime.Graph, tasks []simTask, w Workload, cfg Config, res *Result) {
 	nprocs := cfg.Nodes
 	cores := cfg.Machine.CoresPerNode
 	free := make([]int, nprocs)
 	for i := range free {
 		free[i] = cores
 	}
-	ready := make([]readyHeap, nprocs)
+	// ready[p] is process p's ready list (runtime.Graph.InsertReady:
+	// the last entry runs next); deps counts unfinished predecessors.
+	ready := make([][]int32, nprocs)
+	deps := make([]int32, len(tasks))
+	for i := range tasks {
+		for _, s := range g.Successors(i) {
+			deps[s]++
+		}
+	}
 	res.Busy = make([]float64, nprocs)
 
 	var q eventQueue
@@ -342,8 +311,9 @@ func runEventLoop(tasks []simTask, w Workload, cfg Config, res *Result) {
 		startAt = make([]float64, len(tasks))
 	}
 	schedule := func(p int32, now float64) {
-		for free[p] > 0 && ready[p].Len() > 0 {
-			id := ready[p].popTask()
+		for free[p] > 0 && len(ready[p]) > 0 {
+			id := ready[p][len(ready[p])-1]
+			ready[p] = ready[p][:len(ready[p])-1]
 			start := now
 			if rtFree[p] > start {
 				start = rtFree[p]
@@ -353,26 +323,29 @@ func runEventLoop(tasks []simTask, w Workload, cfg Config, res *Result) {
 			res.Busy[p] += overhead + tasks[id].cost
 			if cfg.CollectTrace {
 				startAt[id] = start + overhead
-				tk := &tasks[id]
 				res.Trace = append(res.Trace, runtime.TaskRecord{
-					Label:    fmt.Sprintf("%s(%d,%d,%d)", kindNames[tk.kind], tk.k, tk.m, tk.n),
+					Label:    g.Label(int(id)),
 					Worker:   int(p),
 					Start:    time.Duration((start + overhead) * 1e9),
-					Duration: time.Duration(tk.cost * 1e9),
+					Duration: time.Duration(tasks[id].cost * 1e9),
 				})
 			}
 			push(event{t: start + overhead + tasks[id].cost, proc: p, finish: id})
 		}
 	}
-	makeReady := func(id int32, now float64) {
-		t := &tasks[id]
-		ready[t.proc].pushTask(id, t.prio, seq)
-		seq++
+	makeReady := func(id int32) {
+		p := tasks[id].proc
+		ready[p] = g.InsertReady(ready[p], id)
+	}
+	release := func(id int32) {
+		if deps[id]--; deps[id] == 0 {
+			makeReady(id)
+		}
 	}
 
-	for i := range tasks {
-		if tasks[i].deps == 0 {
-			makeReady(int32(i), 0)
+	for i, d := range deps {
+		if d == 0 {
+			makeReady(int32(i))
 		}
 	}
 	for p := int32(0); p < int32(nprocs); p++ {
@@ -391,10 +364,7 @@ func runEventLoop(tasks []simTask, w Workload, cfg Config, res *Result) {
 		}
 		if e.arrives != nil {
 			for _, id := range e.arrives {
-				tasks[id].deps--
-				if tasks[id].deps == 0 {
-					makeReady(id, e.t)
-				}
+				release(id)
 			}
 			schedule(e.proc, e.t)
 			continue
@@ -406,13 +376,10 @@ func runEventLoop(tasks []simTask, w Workload, cfg Config, res *Result) {
 		free[e.proc]++
 		var remote map[int32][]int32
 		nDest := 0
-		for _, s := range ft.succs {
+		for _, s := range g.Successors(int(e.finish)) {
 			sp := tasks[s].proc
 			if sp == e.proc {
-				tasks[s].deps--
-				if tasks[s].deps == 0 {
-					makeReady(s, e.t)
-				}
+				release(s)
 				continue
 			}
 			if remote == nil {
@@ -446,22 +413,21 @@ func runEventLoop(tasks []simTask, w Workload, cfg Config, res *Result) {
 		schedule(e.proc, e.t)
 	}
 	res.Makespan = makespan
-	res.DAGCriticalPath = dagCriticalPath(tasks)
+	res.DAGCriticalPath = dagCriticalPath(g, tasks)
 	if cfg.CollectTrace {
 		// Export the executed DAG with its simulated schedule so the same
 		// obs.CriticalPath attribution runs on simulations as on real runs.
 		nodes := make([]obs.PathNode, len(tasks))
 		for i := range tasks {
-			tk := &tasks[i]
 			nodes[i] = obs.PathNode{
-				Label:  fmt.Sprintf("%s(%d,%d,%d)", kindNames[tk.kind], tk.k, tk.m, tk.n),
-				Worker: tk.proc,
+				Label:  g.Label(i),
+				Worker: tasks[i].proc,
 				Start:  time.Duration(startAt[i] * 1e9),
-				Finish: time.Duration((startAt[i] + tk.cost) * 1e9),
+				Finish: time.Duration((startAt[i] + tasks[i].cost) * 1e9),
 			}
 		}
 		for i := range tasks {
-			for _, s := range tasks[i].succs {
+			for _, s := range g.Successors(i) {
 				nodes[s].Preds = append(nodes[s].Preds, int32(i))
 			}
 		}
@@ -469,9 +435,9 @@ func runEventLoop(tasks []simTask, w Workload, cfg Config, res *Result) {
 	}
 }
 
-// dagCriticalPath is the longest cost-weighted path; construction order
-// is topological so a single forward sweep suffices.
-func dagCriticalPath(tasks []simTask) float64 {
+// dagCriticalPath is the longest cost-weighted path; graph ids are
+// topological so a single forward sweep suffices.
+func dagCriticalPath(g *runtime.Graph, tasks []simTask) float64 {
 	in := make([]float64, len(tasks))
 	var best float64
 	for i := range tasks {
@@ -479,7 +445,7 @@ func dagCriticalPath(tasks []simTask) float64 {
 		if c > best {
 			best = c
 		}
-		for _, s := range tasks[i].succs {
+		for _, s := range g.Successors(i) {
 			if c > in[s] {
 				in[s] = c
 			}

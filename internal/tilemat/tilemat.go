@@ -155,13 +155,14 @@ func (st *CompressionStats) add(o CompressionStats) {
 // get all off-diagonal tiles of a tile column assembled at once so the
 // sampling GEMMs amortize over the whole column, at the cost of one
 // column of dense blocks resident instead of one tile.
+//
+// It is the parallel builder at one worker, which runs the jobs in
+// buildJobs order on the calling goroutine. Only a panicking assembler
+// or compressor can fail that run; the panic is re-raised here.
 func FromAssemblerComp(n, b int, asm Assembler, tol float64, maxRank int, comp tlr.Compressor) (*Matrix, CompressionStats) {
-	m := New(n, b)
-	var st CompressionStats
-	ws := dense.GetWorkspace()
-	defer ws.Release()
-	for _, jb := range buildJobs(m.NT, comp) {
-		st.add(m.build(jb, asm, tol, maxRank, comp, ws))
+	m, st, err := FromAssemblerParallelComp(n, b, asm, tol, maxRank, 1, comp)
+	if err != nil {
+		panic(err)
 	}
 	return m, st
 }

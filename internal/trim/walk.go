@@ -37,9 +37,11 @@ type Task struct {
 // canonical order — per panel k: Diag(k), then for each panel row m in
 // ascending order Panel(k,m), DiagUpdate(k,m) and the Updates of row m.
 // A task's index is the number of tasks visited before it. This is the
-// one description of the factorization's task graph every backend (the
-// sequential loop, the task runtime, the virtual cluster and the
-// simulator) executes.
+// one description of the factorization's task graph every backend
+// executes: the sequential loop runs it in order, core.BuildGraph turns
+// it into the runtime.Graph that the task runtime and the virtual
+// cluster run, and the simulator builds it into a runtime.Graph of its
+// own.
 func Walk(s Structure, visit func(Task)) {
 	nt := s.NT()
 	// last[tile] is the walk index of the tile's latest writer, over the

@@ -144,11 +144,13 @@ runs="$(curl -sf --max-time 60 "$base/metrics" | awk '$1 == "serve.factorize.run
 plans="$(curl -sf --max-time 60 "$base/metrics" | awk '$1 == "solve.plan.build" {print $2}')"
 [ -n "$plans" ] && [ "$plans" -ge 1 ] || {
     echo "check.sh: expected >=1 solve plan build, got '$plans'" >&2; exit 1; }
-curl -sf --max-time 60 "$base/v1/stats" | grep -q '"uptime_sec"' || {
-    echo "check.sh: /v1/stats did not answer" >&2; exit 1; }
 # A single server is a one-shard service: its /v1/stats is the same body
 # as a fleet's, with the per-shard rows and the single-flight rollup.
-single_stats="$(curl -sf --max-time 60 "$base/v1/stats")"
+# Bodies are captured before grep reads them: under pipefail, grep -q
+# may exit before curl has written the whole body.
+single_stats="$(curl -sf --max-time 60 "$base/v1/stats" || true)"
+echo "$single_stats" | grep -q '"uptime_sec"' || {
+    echo "check.sh: /v1/stats did not answer" >&2; exit 1; }
 echo "$single_stats" | grep -q '"shards"' || {
     echo "check.sh: single-server /v1/stats lacks per-shard rows" >&2; exit 1; }
 echo "$single_stats" | grep -q '"single_flight"' || {
@@ -186,7 +188,8 @@ grep -q '"traceEvents"' "$trace_json" || {
     echo "check.sh: request trace has no traceEvents" >&2; cat "$trace_json" >&2; exit 1; }
 grep -q '"solve.trsm"' "$trace_json" || {
     echo "check.sh: request trace lacks per-task solve-plan spans" >&2; exit 1; }
-curl -sf --max-time 60 "$base/v1/stats" | grep -q '"queue_ms"' || {
+traced_stats="$(curl -sf --max-time 60 "$base/v1/stats" || true)"
+echo "$traced_stats" | grep -q '"queue_ms"' || {
     echo "check.sh: /v1/stats lacks the latency breakdown" >&2; exit 1; }
 grep -q "$trace_id" "$access_log" || {
     echo "check.sh: access log has no line for trace $trace_id" >&2; cat "$access_log" >&2; exit 1; }
