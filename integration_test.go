@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"tlrchol/internal/aca"
 	"tlrchol/internal/core"
 	"tlrchol/internal/dense"
 	"tlrchol/internal/dist"
@@ -22,9 +21,9 @@ import (
 	"tlrchol/internal/trace"
 )
 
-// TestFullPipeline runs geometry → compressed-direct generation (ACA)
-// → trimmed nested-parallel factorization → iterative refinement →
-// RBF interpolation, checking accuracy at every stage.
+// TestFullPipeline runs geometry → parallel tile assembly and
+// compression → trimmed nested-parallel factorization → iterative
+// refinement → RBF interpolation, checking accuracy at every stage.
 func TestFullPipeline(t *testing.T) {
 	const (
 		n   = 1200
@@ -36,13 +35,16 @@ func TestFullPipeline(t *testing.T) {
 	kernel := rbf.Gaussian{Delta: 2.5 * rbf.DefaultShape(pts), Nugget: 100 * tol}
 	prob, perm := rbf.NewProblem(pts, kernel)
 	if len(perm) != n {
-		t.Fatalf("Hilbert permutation missing")
+		t.Fatalf("KD permutation missing")
 	}
 
-	// 2. Compressed-direct generation (the future-work extension).
-	m, gs := aca.FromProblem(prob, b, tol, 0)
-	if gs.SavingsFactor() <= 1 {
-		t.Fatalf("ACA generation saved nothing: %.2f", gs.SavingsFactor())
+	// 2. Parallel tile assembly and compression.
+	m, st, err := tilemat.FromAssemblerParallel(n, b, prob.Block, tol, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CompressedBytes >= st.DenseBytes {
+		t.Fatalf("compression saved no memory: %d >= %d", st.CompressedBytes, st.DenseBytes)
 	}
 
 	// 3. Trimmed, nested-parallel factorization with tracing.

@@ -32,17 +32,6 @@ func (b *Box) add(p Point) {
 // Diameter returns the length of the box's diagonal.
 func (b Box) Diameter() float64 { return b.Max.Sub(b.Min).Norm() }
 
-// Gap returns the Euclidean distance between b and o: 0 when they
-// touch or overlap.
-func (b Box) Gap(o Box) float64 {
-	gap := func(lo, hi, olo, ohi float64) float64 { return max(0, olo-hi, lo-ohi) }
-	return Point{
-		gap(b.Min.X, b.Max.X, o.Min.X, o.Max.X),
-		gap(b.Min.Y, b.Max.Y, o.Min.Y, o.Max.Y),
-		gap(b.Min.Z, b.Max.Z, o.Min.Z, o.Max.Z),
-	}.Norm()
-}
-
 // widestAxis returns the axis (0 = X, 1 = Y, 2 = Z) along which the box
 // is widest; ties go to the lower axis.
 func (b Box) widestAxis() int {

@@ -156,17 +156,10 @@ func TestKDTileRowsTighterThanHilbert(t *testing.T) {
 	}
 }
 
-func TestBoxGapAndDiameter(t *testing.T) {
+func TestBoxDiameter(t *testing.T) {
 	a := Bounds([]Point{{0, 0, 0}, {1, 1, 0}})
-	b := Bounds([]Point{{4, 5, 0}, {5, 6, 0}})
 	if d := a.Diameter(); math.Abs(d-math.Sqrt2) > 1e-15 {
 		t.Fatalf("diameter %g", d)
-	}
-	if g := a.Gap(b); math.Abs(g-5) > 1e-15 || b.Gap(a) != g {
-		t.Fatalf("gap %g, want 5 both ways", g)
-	}
-	if g := a.Gap(Bounds([]Point{{0.5, 0.5, 0}, {3, 3, 3}})); g != 0 {
-		t.Fatalf("overlapping boxes have gap %g", g)
 	}
 	if (Bounds(nil) != Box{}) {
 		t.Fatalf("empty bounds")

@@ -31,19 +31,32 @@ func Trsm(l *dense.Matrix, a *Tile) {
 // For LowRank A = U·Vᵀ: C −= U·(VᵀV)·Uᵀ, computed as W = VᵀV (k×k),
 // T = U·W (b×k), then the symmetric update C −= T·Uᵀ restricted to the
 // lower triangle, at O(bk² + b²k) flops.
-func Syrk(a *Tile, c *dense.Matrix) {
+func Syrk(a *Tile, c *dense.Matrix) { syrk(a, nil, c) }
+
+// syrk is the body of Syrk and SyrkLDLt: C ← C − A·D·Aᵀ with D the
+// diagonal of the factored diagonal tile ld, or D = I when ld is nil
+// (Cholesky).
+func syrk(a *Tile, ld, c *dense.Matrix) {
 	switch a.Kind {
 	case Zero:
 		return
 	case Dense:
-		dense.Syrk(dense.NoTrans, -1, a.D, 1, c)
+		if ld == nil {
+			dense.Syrk(dense.NoTrans, -1, a.D, 1, c)
+			return
+		}
+		ws := dense.GetWorkspace()
+		defer ws.Release()
+		// C(lower) −= (A·D)·Aᵀ; GemmLowerNT computes the triangle only,
+		// and A·D·Aᵀ is symmetric because D is diagonal.
+		dense.GemmLowerNT(-1, weightCols(ld, a.D, ws), a.D, c)
 		return
 	}
 	k := a.Rank()
 	ws := dense.GetWorkspace()
 	defer ws.Release()
 	w := ws.Matrix(k, k)
-	dense.Gemm(dense.Trans, dense.NoTrans, 1, a.V, a.V, 0, w)
+	dense.Gemm(dense.Trans, dense.NoTrans, 1, a.V, weightRows(ld, a.V, ws), 0, w)
 	t := ws.Matrix(a.Rows, k)
 	dense.Gemm(dense.NoTrans, dense.NoTrans, 1, a.U, w, 0, t)
 	// Lower triangle of C −= T·Uᵀ. T·Uᵀ = U·W·Uᵀ is symmetric because W
@@ -71,20 +84,26 @@ type GemmConfig struct {
 // It returns the resulting tile, which may be a different object than c
 // when the representation changes (Zero → LowRank fill-in, or rank
 // growth). The caller must store the result back.
-func Gemm(a, b, c *Tile, cfg GemmConfig) *Tile {
+func Gemm(a, b, c *Tile, cfg GemmConfig) *Tile { return gemm(a, b, nil, c, cfg) }
+
+// gemm is the body of Gemm and GemmLDLt: C ← C − A·D·Bᵀ with D the
+// diagonal of the factored diagonal tile ld, or D = I when ld is nil
+// (Cholesky).
+func gemm(a, b *Tile, ld *dense.Matrix, c *Tile, cfg GemmConfig) *Tile {
 	if a.Kind == Dense || b.Kind == Dense {
-		return gemmDenseOperands(a, b, c, cfg)
+		return gemmDenseOperands(a, b, ld, c, cfg)
 	}
 	if a.Kind == Zero || b.Kind == Zero {
 		return c
 	}
-	// Contribution −A·Bᵀ = −U_a·(V_aᵀ·V_b)·U_bᵀ, a rank ≤ min(k_a,k_b)
-	// low-rank term with factors P = −U_a·W (rows×k_b) and Q = U_b.
+	// Contribution −A·D·Bᵀ = −U_a·(V_aᵀ·D·V_b)·U_bᵀ, a rank ≤
+	// min(k_a,k_b) low-rank term with factors P = −U_a·W (rows×k_b) and
+	// Q = U_b. The weight lands in the k_a×k_b core W.
 	ka, kb := a.Rank(), b.Rank()
 	ws := dense.GetWorkspace()
 	defer ws.Release()
 	w := ws.Matrix(ka, kb)
-	dense.Gemm(dense.Trans, dense.NoTrans, 1, a.V, b.V, 0, w)
+	dense.Gemm(dense.Trans, dense.NoTrans, 1, a.V, weightRows(ld, b.V, ws), 0, w)
 	p := ws.Matrix(a.Rows, kb)
 	dense.Gemm(dense.NoTrans, dense.NoTrans, -1, a.U, w, 0, p)
 	q := b.U
@@ -106,16 +125,18 @@ func Gemm(a, b, c *Tile, cfg GemmConfig) *Tile {
 }
 
 // gemmDenseOperands handles the rarely-exercised mixed paths where a
-// panel operand is stored dense. The product is formed densely and then
+// panel operand is stored dense. The product is formed densely, with
+// the D weight (if any) applied to the right operand's value, and then
 // folded into C in its own format.
-func gemmDenseOperands(a, b, c *Tile, cfg GemmConfig) *Tile {
+func gemmDenseOperands(a, b *Tile, ld *dense.Matrix, c *Tile, cfg GemmConfig) *Tile {
 	if a.Kind == Zero || b.Kind == Zero {
 		return c
 	}
 	ws := dense.GetWorkspace()
 	defer ws.Release()
 	ad := denseValueWS(a, ws)
-	bd := denseValueWS(b, ws)
+	// B·D as column scaling of B's value: (B·D)ᵀ = D·Bᵀ.
+	bd := weightCols(ld, denseValueWS(b, ws), ws)
 	prod := ws.Matrix(a.Rows, b.Rows)
 	dense.Gemm(dense.NoTrans, dense.Trans, -1, ad, bd, 0, prod)
 	switch c.Kind {

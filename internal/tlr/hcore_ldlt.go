@@ -36,16 +36,34 @@ func TrsmLDLt(ld *dense.Matrix, a *Tile) {
 	}
 }
 
-// scaledByD materializes D·M (rows of M scaled by the diagonal of ld)
-// in the workspace.
-func scaledByD(ld *dense.Matrix, m *dense.Matrix, ws *dense.Workspace) *dense.Matrix {
+// weightRows returns D·m (rows of m scaled by the diagonal of ld) in
+// the workspace, or m itself when ld is nil (Cholesky: D = I).
+func weightRows(ld, m *dense.Matrix, ws *dense.Workspace) *dense.Matrix {
+	if ld == nil {
+		return m
+	}
 	out := ws.Matrix(m.Rows, m.Cols)
 	for i := 0; i < m.Rows; i++ {
 		d := ld.At(i, i)
-		src := m.Row(i)
 		dst := out.Row(i)
-		for j, v := range src {
+		for j, v := range m.Row(i) {
 			dst[j] = d * v
+		}
+	}
+	return out
+}
+
+// weightCols returns m·D (columns of m scaled by the diagonal of ld) in
+// the workspace, or m itself when ld is nil (Cholesky: D = I).
+func weightCols(ld, m *dense.Matrix, ws *dense.Workspace) *dense.Matrix {
+	if ld == nil {
+		return m
+	}
+	out := ws.Matrix(m.Rows, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		dst := out.Row(i)
+		for j, v := range m.Row(i) {
+			dst[j] = v * ld.At(j, j)
 		}
 	}
 	return out
@@ -55,37 +73,7 @@ func scaledByD(ld *dense.Matrix, m *dense.Matrix, ws *dense.Workspace) *dense.Ma
 // trailing submatrix: C ← C − A·D·Aᵀ, with D read off the factored
 // diagonal tile ld of the eliminated column. For LowRank A = U·Vᵀ the
 // weight lands in the small core: C −= U·(VᵀDV)·Uᵀ.
-func SyrkLDLt(a *Tile, ld *dense.Matrix, c *dense.Matrix) {
-	switch a.Kind {
-	case Zero:
-		return
-	case Dense:
-		ws := dense.GetWorkspace()
-		defer ws.Release()
-		// A·D as column scaling, then C(lower) −= (A·D)·Aᵀ; GemmLowerNT
-		// computes the triangle only, and A·D·Aᵀ is symmetric because D
-		// is diagonal.
-		ad := ws.Matrix(a.D.Rows, a.D.Cols)
-		for i := 0; i < a.D.Rows; i++ {
-			src := a.D.Row(i)
-			dst := ad.Row(i)
-			for j, v := range src {
-				dst[j] = v * ld.At(j, j)
-			}
-		}
-		dense.GemmLowerNT(-1, ad, a.D, c)
-		return
-	}
-	k := a.Rank()
-	ws := dense.GetWorkspace()
-	defer ws.Release()
-	dv := scaledByD(ld, a.V, ws)
-	w := ws.Matrix(k, k)
-	dense.Gemm(dense.Trans, dense.NoTrans, 1, a.V, dv, 0, w)
-	t := ws.Matrix(a.Rows, k)
-	dense.Gemm(dense.NoTrans, dense.NoTrans, 1, a.U, w, 0, t)
-	dense.GemmLowerNT(-1, t, a.U, c)
-}
+func SyrkLDLt(a *Tile, ld *dense.Matrix, c *dense.Matrix) { syrk(a, ld, c) }
 
 // GemmLDLt applies the D-weighted Schur update C ← C − A·D·Bᵀ where
 // A = tile(m,k), B = tile(n,k) are solved panel tiles and D comes from
@@ -94,67 +82,5 @@ func SyrkLDLt(a *Tile, ld *dense.Matrix, c *dense.Matrix) {
 // changes (fill-in or rank growth), and recompresses low-rank
 // accumulation at cfg's threshold.
 func GemmLDLt(a, b *Tile, ld *dense.Matrix, c *Tile, cfg GemmConfig) *Tile {
-	if a.Kind == Dense || b.Kind == Dense {
-		return gemmLDLtDenseOperands(a, b, ld, c, cfg)
-	}
-	if a.Kind == Zero || b.Kind == Zero {
-		return c
-	}
-	// −A·D·Bᵀ = −U_a·(V_aᵀ·D·V_b)·U_bᵀ: the same rank ≤ min(k_a,k_b)
-	// update as the unweighted kernel, with the weight folded into the
-	// k_a×k_b core.
-	ka, kb := a.Rank(), b.Rank()
-	ws := dense.GetWorkspace()
-	defer ws.Release()
-	dv := scaledByD(ld, b.V, ws)
-	w := ws.Matrix(ka, kb)
-	dense.Gemm(dense.Trans, dense.NoTrans, 1, a.V, dv, 0, w)
-	p := ws.Matrix(a.Rows, kb)
-	dense.Gemm(dense.NoTrans, dense.NoTrans, -1, a.U, w, 0, p)
-	q := b.U
-	switch c.Kind {
-	case Zero:
-		return RecompressWS(p, q, cfg.Tol, cfg.MaxRank, ws)
-	case LowRank:
-		u := hcat(ws, c.U, p)
-		v := hcat(ws, c.V, q)
-		return RecompressWS(u, v, cfg.Tol, cfg.MaxRank, ws)
-	default:
-		dense.Gemm(dense.NoTrans, dense.Trans, 1, p, q, 1, c.D)
-		return c
-	}
-}
-
-// gemmLDLtDenseOperands mirrors gemmDenseOperands with the D weight
-// applied to the right operand's value.
-func gemmLDLtDenseOperands(a, b *Tile, ld *dense.Matrix, c *Tile, cfg GemmConfig) *Tile {
-	if a.Kind == Zero || b.Kind == Zero {
-		return c
-	}
-	ws := dense.GetWorkspace()
-	defer ws.Release()
-	ad := denseValueWS(a, ws)
-	bd := denseValueWS(b, ws)
-	// B·D as column scaling of B's value: (B·D)ᵀ = D·Bᵀ.
-	bdw := ws.Matrix(b.Rows, b.Cols)
-	for i := 0; i < b.Rows; i++ {
-		src := bd.Row(i)
-		dst := bdw.Row(i)
-		for j, v := range src {
-			dst[j] = v * ld.At(j, j)
-		}
-	}
-	prod := ws.Matrix(a.Rows, b.Rows)
-	dense.Gemm(dense.NoTrans, dense.Trans, -1, ad, bdw, 0, prod)
-	switch c.Kind {
-	case Dense:
-		c.D.Add(1, prod)
-		return c
-	case Zero:
-		return CompressWS(prod, cfg.Tol, cfg.MaxRank, ws)
-	default:
-		cd := denseValueWS(c, ws)
-		cd.Add(1, prod)
-		return CompressWS(cd, cfg.Tol, cfg.MaxRank, ws)
-	}
+	return gemm(a, b, ld, c, cfg)
 }

@@ -173,20 +173,22 @@ func (t *Tile) FrobNorm() float64 {
 	}
 }
 
-// Compress converts a dense block into a Zero or LowRank tile at the
-// given absolute Frobenius accuracy threshold, the HiCMA fixed-accuracy
-// compression. It never returns a Dense tile: off-diagonal tiles in the
-// paper's TLR layout are always stored compressed so the kernel set
-// stays closed under {Zero, LowRank} × Dense-diagonal. maxRank ≤ 0 means
-// unlimited.
+// Compress converts a dense block into a Zero or LowRank tile by
+// truncated column-pivoted QR (dense.QRCPWS), the HiCMA fixed-accuracy
+// compression. The QR stops once the largest remaining column 2-norm is
+// ≤ tol, an absolute threshold. That is not a Frobenius test: the
+// discarded part's Frobenius norm can exceed tol by a small factor.
+// It never returns a Dense tile: off-diagonal tiles in the paper's TLR
+// layout are always stored compressed so the kernel set stays closed
+// under {Zero, LowRank} × Dense-diagonal. maxRank ≤ 0 means unlimited.
 func Compress(a *dense.Matrix, tol float64, maxRank int) *Tile {
 	ws := dense.GetWorkspace()
 	defer ws.Release()
 	return CompressWS(a, tol, maxRank, ws)
 }
 
-// CompressWS is Compress drawing its transient storage (the pivoted QR
-// working set) from ws. The returned tile owns its factors and stays
+// CompressWS is Compress, with the same column-norm stopping rule,
+// drawing its transient storage (the pivoted QR working set) from ws. The returned tile owns its factors and stays
 // valid after ws.Release.
 func CompressWS(a *dense.Matrix, tol float64, maxRank int, ws *dense.Workspace) *Tile {
 	res := dense.QRCPWS(a, tol, maxRank, ws)
@@ -209,7 +211,8 @@ func CompressWS(a *dense.Matrix, tol float64, maxRank int, ws *dense.Workspace) 
 
 // Recompress rounds a low-rank representation (u·vᵀ) back to minimal
 // rank at the accuracy threshold: QR both factors, SVD the small core
-// Ru·Rvᵀ, truncate. This is the HCORE low-rank addition workhorse.
+// Ru·Rvᵀ, truncate so the discarded singular values have Frobenius norm
+// ≤ tol. This is the HCORE low-rank addition workhorse.
 func Recompress(u, v *dense.Matrix, tol float64, maxRank int) *Tile {
 	ws := dense.GetWorkspace()
 	defer ws.Release()

@@ -61,11 +61,11 @@ go run ./cmd/lint -json ./... > "$lint_json" || {
 }
 tmp_files+=("$lint_json")
 
-echo "== race-detector tests (runtime, verify, obs, cluster, core, serve, analysis, rbf, aca)"
+echo "== race-detector tests (runtime, verify, obs, cluster, core, serve, analysis, rbf, tilemat)"
 # internal/analysis is in the race list for self-hosting: the lint
 # driver runs analyzers concurrently per package, so its own tests must
 # hold up under the detector just like the code it audits.
-go test -race ./internal/runtime ./internal/verify ./internal/obs ./internal/cluster ./internal/core ./internal/serve ./internal/analysis ./internal/rbf ./internal/aca
+go test -race ./internal/runtime ./internal/verify ./internal/obs ./internal/cluster ./internal/core ./internal/serve ./internal/analysis ./internal/rbf ./internal/tilemat
 
 echo "== point-ordering fuzz smoke"
 # The KD ordering behind rbf.NewProblem must keep its contract (a
