@@ -55,35 +55,29 @@ func (ip *AugmentedInterpolant) Eval(x Point) []float64 {
 // [K P; Pᵀ 0]: the N kernel rows plus the 4 polynomial constraint rows.
 func (p *Problem) AugmentedDim() int { return p.N() + 4 }
 
-// AugmentedEntry returns entry (i, j) of the symmetric augmented
-// operator: the kernel block for i, j < N, the polynomial coupling
+// AugmentedBlock is the tilemat.Assembler for the symmetric augmented
+// operator, producing the dense sub-block [r0:r1) × [c0:c1): the kernel
+// block (Block's entries) for i, j < N, the polynomial coupling
 // P(i, j−N) on the borders, and the zero corner for i, j ≥ N. The
 // kernel block comes first so every leading principal minor through
 // order N is a minor of SPD K — the ordering that makes the unpivoted
 // TLR LDLᵀ factorization well defined on this quasi-definite system
 // (the trailing Schur complement −Pᵀ·K⁻¹·P is negative definite
 // whenever the points are not coplanar).
-func (p *Problem) AugmentedEntry(i, j int) float64 {
-	n := p.N()
-	switch {
-	case i < n && j < n:
-		return p.Entry(i, j)
-	case i >= n && j >= n:
-		return 0
-	case i >= n:
-		i, j = j, i
-	}
-	return PolyBasis(p.Points[i])[j-n]
-}
-
-// AugmentedBlock is the tilemat.Assembler for the augmented system,
-// producing the dense sub-block [r0:r1) × [c0:c1).
 func (p *Problem) AugmentedBlock(r0, r1, c0, c1 int) *dense.Matrix {
+	n := p.N()
 	out := dense.NewMatrix(r1-r0, c1-c0)
-	for i := r0; i < r1; i++ {
-		row := out.Row(i - r0)
-		for j := c0; j < c1; j++ {
-			row[j-c0] = p.AugmentedEntry(i, j)
+	if kr, kc := min(r1, n)-r0, min(c1, n)-c0; kr > 0 && kc > 0 {
+		p.blockInto(out.View(0, 0, kr, kc), r0, r0+kr, c0, c0+kc)
+	}
+	for i := r0; i < min(r1, n); i++ {
+		for j := max(c0, n); j < c1; j++ {
+			out.Set(i-r0, j-c0, PolyBasis(p.Points[i])[j-n])
+		}
+	}
+	for i := max(r0, n); i < r1; i++ {
+		for j := c0; j < min(c1, n); j++ {
+			out.Set(i-r0, j-c0, PolyBasis(p.Points[j])[i-n])
 		}
 	}
 	return out

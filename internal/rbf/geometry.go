@@ -26,7 +26,10 @@ type Point struct {
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y, p.Z - q.Z} }
 
 // Norm returns the Euclidean length of p.
-func (p Point) Norm() float64 { return math.Sqrt(p.X*p.X + p.Y*p.Y + p.Z*p.Z) }
+func (p Point) Norm() float64 { return math.Sqrt(p.norm2()) }
+
+// norm2 returns the squared length, the radicand of Norm.
+func (p Point) norm2() float64 { return p.X*p.X + p.Y*p.Y + p.Z*p.Z }
 
 // Dist returns the Euclidean distance between p and q.
 func Dist(p, q Point) float64 { return p.Sub(q).Norm() }

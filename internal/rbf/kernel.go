@@ -4,7 +4,12 @@ import (
 	"math"
 
 	"tlrchol/internal/dense"
+	"tlrchol/internal/obs"
 )
+
+// Assembly work: blocks Block returned without a kernel call, and the
+// kernel entries it evaluated.
+var mBlockZero, mKernelEvals = obs.Default.Counter("rbf.block.zero"), obs.Default.Counter("rbf.kernel_evals")
 
 // Kernel is a radial basis function φ_δ(r). Gaussian (global support,
 // the paper's focus) and WendlandC2 (compact support) are provided; a
@@ -106,20 +111,94 @@ func (p *Problem) Entry(i, j int) float64 {
 // generation keeps peak memory at one tile, which is how the framework
 // compresses large operators without ever materializing the full dense
 // matrix.
+//
+// What geometry proves null is not evaluated: from zeroRadius on, the
+// kernel is exactly 0.0. A block whose row and column bounding boxes
+// are that far apart is returned zero; elsewhere an entry at squared
+// distance ≥ zeroRadius² stays 0. For finite points every entry is bit
+// for bit Entry(i, j); equal row and column ranges mirror the strict
+// lower triangle.
 func (p *Problem) Block(r0, r1, c0, c1 int) *dense.Matrix {
 	out := dense.NewMatrix(r1-r0, c1-c0)
-	for i := r0; i < r1; i++ {
-		row := out.Row(i - r0)
-		pi := p.Points[i]
-		for j := c0; j < c1; j++ {
-			if i == j {
-				row[j-c0] = p.Kernel.Diag()
-				continue
-			}
-			row[j-c0] = p.Kernel.Eval(Dist(pi, p.Points[j]))
+	p.blockInto(out, r0, r1, c0, c1)
+	return out
+}
+
+// blockInto writes K[r0:r1, c0:c1] into dst, which must be zero.
+func (p *Problem) blockInto(dst *dense.Matrix, r0, r1, c0, c1 int) {
+	rows, cols := p.Points[r0:r1], p.Points[c0:c1]
+	if len(rows) == 0 || len(cols) == 0 {
+		return
+	}
+	k, r2 := p.Kernel, zeroRadius(p.Kernel)
+	if r2 *= r2; math.IsInf(r2, 1) {
+		r2 = math.NaN() // no radius: no d² compares ≥ NaN
+	}
+	if Bounds(rows).gap2(Bounds(cols)) >= r2 {
+		mBlockZero.Add(0, 1)
+		return
+	}
+	sym := r0 == c0 && r1 == c1
+	evals := 0
+	for i, x := range rows {
+		row, ys := dst.Row(i), cols
+		if sym {
+			row, ys = row[:i+1], ys[:i+1]
+		}
+		if jd := r0 + i - c0; jd >= 0 && jd < len(ys) {
+			evals += evalRow(row[:jd], x, ys[:jd], k, r2)
+			row[jd] = k.Diag()
+			evals += evalRow(row[jd+1:], x, ys[jd+1:], k, r2)
+		} else {
+			evals += evalRow(row, x, ys, k, r2)
+		}
+		for j := 0; sym && j < i; j++ {
+			dst.Data[j*dst.Stride+i] = row[j]
 		}
 	}
-	return out
+	mKernelEvals.Add(0, uint64(evals))
+}
+
+// evalRow sets dst[j] = k.Eval(Dist(x, ys[j])) for every j at squared
+// distance below r2 and returns how many entries it evaluated.
+func evalRow(dst []float64, x Point, ys []Point, k Kernel, r2 float64) int {
+	dst = dst[:len(ys)]
+	n := 0
+	for j, y := range ys {
+		d2 := x.Sub(y).norm2()
+		if d2 >= r2 {
+			continue
+		}
+		n++
+		dst[j] = k.Eval(math.Sqrt(d2))
+	}
+	return n
+}
+
+// zeroRadius returns a distance from which on k.Eval is exactly 0:
+// WendlandC2's support δ, or where math.Exp underflows (below −745.13)
+// for the Gaussian and the Matérn kernels. A relative margin of 1e-9
+// covers rounding. It is +Inf for other kernels, for δ ≤ 0, and where
+// the square of the radius leaves the normal float64 range.
+func zeroRadius(k Kernel) float64 {
+	var r float64
+	switch k := k.(type) {
+	case Gaussian:
+		r = k.Delta * math.Sqrt(746)
+	case WendlandC2:
+		r = k.Delta
+	case Matern32:
+		r = 746 * k.Delta / math.Sqrt(3)
+	case Matern52:
+		r = 746 * k.Delta / math.Sqrt(5)
+	default:
+		return math.Inf(1)
+	}
+	r *= 1 + 1e-9
+	if r2 := r * r; !(r > 0 && r2 >= 0x1p-1022 && r2 <= math.MaxFloat64) {
+		return math.Inf(1)
+	}
+	return r
 }
 
 // Dense assembles the full N×N kernel matrix (testing and small
@@ -164,7 +243,10 @@ type Matern32 struct {
 // Eval implements Kernel.
 func (m Matern32) Eval(r float64) float64 {
 	t := math.Sqrt(3) * r / m.Delta
-	return (1 + t) * math.Exp(-t)
+	if e := math.Exp(-t); e != 0 {
+		return (1 + t) * e
+	}
+	return 0 // not (1+t)·0, which is NaN once t overflows
 }
 
 // Diag implements Kernel.
@@ -182,7 +264,10 @@ type Matern52 struct {
 // Eval implements Kernel.
 func (m Matern52) Eval(r float64) float64 {
 	t := math.Sqrt(5) * r / m.Delta
-	return (1 + t + t*t/3) * math.Exp(-t)
+	if e := math.Exp(-t); e != 0 {
+		return (1 + t + t*t/3) * e
+	}
+	return 0 // not (1+t+t²/3)·0, which is NaN once t² overflows
 }
 
 // Diag implements Kernel.

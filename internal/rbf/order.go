@@ -29,6 +29,18 @@ func (b *Box) add(p Point) {
 	b.Max = Point{max(b.Max.X, p.X), max(b.Max.Y, p.Y), max(b.Max.Z, p.Z)}
 }
 
+// gap2 returns the squared distance between boxes b and c (0 if they
+// overlap). Rounding is monotone, so it is at most the squared distance
+// computed for any point of b and any point of c.
+func (b Box) gap2(c Box) float64 {
+	g := Point{
+		max(0, c.Min.X-b.Max.X, b.Min.X-c.Max.X),
+		max(0, c.Min.Y-b.Max.Y, b.Min.Y-c.Max.Y),
+		max(0, c.Min.Z-b.Max.Z, b.Min.Z-c.Max.Z),
+	}
+	return g.norm2()
+}
+
 // Diameter returns the length of the box's diagonal.
 func (b Box) Diameter() float64 { return b.Max.Sub(b.Min).Norm() }
 

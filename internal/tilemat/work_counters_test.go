@@ -1,0 +1,37 @@
+package tilemat
+
+import (
+	"testing"
+
+	"tlrchol/internal/dense"
+	"tlrchol/internal/obs"
+	"tlrchol/internal/rbf"
+)
+
+// TestAssemblyWorkCounters pins the assembly work of one FromAssembler
+// pass over the factor-rank benchmark geometry (N=4096 virus points of
+// seed 42 in KD order, Gaussian δ = 2× the default shape, tiles of
+// 128): how many of its 528 blocks rbf.Problem.Block proves zero from
+// the tile boxes, and how many kernel entries it evaluates. A change in
+// either is a change in what the assembler computes.
+func TestAssemblyWorkCounters(t *testing.T) {
+	const n, b = 4096, 128
+	pts := rbf.VirusPopulation(rbf.DefaultVirusConfig(n))[:n]
+	p, _ := rbf.NewProblem(pts, rbf.Gaussian{Delta: 2 * rbf.DefaultShape(pts), Nugget: 1e-4})
+	zero, evals := obs.Default.Counter("rbf.block.zero"), obs.Default.Counter("rbf.kernel_evals")
+	z0, e0 := zero.Value(), evals.Value()
+	calls := 0
+	_, st := FromAssembler(n, b, func(r0, r1, c0, c1 int) *dense.Matrix {
+		calls++
+		return p.Block(r0, r1, c0, c1)
+	}, 1e-6, 0)
+	gotZero, gotEvals := zero.Value()-z0, evals.Value()-e0
+	// 461 of the 496 off-diagonal tiles compress to Zero; 436 of them
+	// are exactly zero and never evaluated. Evaluating every entry
+	// would take 8646656 kernel calls (diagonal tiles without their
+	// diagonal).
+	if calls != 528 || st.ZeroTiles != 461 || gotZero != 436 || gotEvals != 605233 {
+		t.Errorf("%d blocks, %d zero tiles, rbf.block.zero %d, rbf.kernel_evals %d; want 528, 461, 436, 605233",
+			calls, st.ZeroTiles, gotZero, gotEvals)
+	}
+}

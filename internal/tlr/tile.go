@@ -189,8 +189,13 @@ func Compress(a *dense.Matrix, tol float64, maxRank int) *Tile {
 
 // CompressWS is Compress, with the same column-norm stopping rule,
 // drawing its transient storage (the pivoted QR working set) from ws. The returned tile owns its factors and stays
-// valid after ws.Release.
+// valid after ws.Release. An all-zero a (a block the assembler proved
+// null) returns the QR's rank-0 result without running the QR.
 func CompressWS(a *dense.Matrix, tol float64, maxRank int, ws *dense.Workspace) *Tile {
+	if allZero(a) {
+		mCompressZero.Add(ws.Shard(), 1)
+		return NewZero(a.Rows, a.Cols)
+	}
 	res := dense.QRCPWS(a, tol, maxRank, ws)
 	if res.Rank == 0 {
 		mCompressZero.Add(ws.Shard(), 1)
@@ -207,6 +212,18 @@ func CompressWS(a *dense.Matrix, tol float64, maxRank int, ws *dense.Workspace) 
 		}
 	}
 	return NewLowRank(u, v)
+}
+
+// allZero reports whether every entry of a is ±0.
+func allZero(a *dense.Matrix) bool {
+	for i := range a.Rows {
+		for _, x := range a.Row(i) {
+			if x != 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Recompress rounds a low-rank representation (u·vᵀ) back to minimal

@@ -25,14 +25,32 @@ func TestCompressExactLowRank(t *testing.T) {
 	}
 }
 
+// TestCompressZero checks that a block of ±0 entries is a Zero tile of
+// its shape, counted as tlr.compress.zero, while one tiny entry of
+// either sign at tol 0 still keeps rank 1.
 func TestCompressZero(t *testing.T) {
-	a := dense.NewMatrix(16, 16)
-	tile := Compress(a, 1e-12, 0)
-	if tile.Kind != Zero {
-		t.Fatalf("zero block should compress to Zero tile, got %v", tile.Kind)
+	zeros := obs.Default.Counter("tlr.compress.zero")
+	for _, z := range []float64{0, math.Copysign(0, -1)} {
+		a := dense.NewMatrix(16, 12)
+		a.Set(3, 2, z)
+		before := zeros.Value()
+		tile := Compress(a, 1e-12, 0)
+		if tile.Kind != Zero || tile.Rows != 16 || tile.Cols != 12 {
+			t.Fatalf("zero block (entry %g) should compress to a 16x12 Zero tile, got %v %dx%d", z, tile.Kind, tile.Rows, tile.Cols)
+		}
+		if tile.Rank() != 0 || tile.Bytes() != 0 {
+			t.Fatalf("Zero tile should have rank 0 and no payload")
+		}
+		if got := zeros.Value() - before; got != 1 {
+			t.Fatalf("tlr.compress.zero advanced by %d, want 1", got)
+		}
 	}
-	if tile.Rank() != 0 || tile.Bytes() != 0 {
-		t.Fatalf("Zero tile should have rank 0 and no payload")
+	for _, v := range []float64{1e-150, -1e-150} {
+		a := dense.NewMatrix(16, 12)
+		a.Set(3, 2, v)
+		if tile := Compress(a, 0, 0); tile.Kind != LowRank || tile.Rank() != 1 {
+			t.Fatalf("entry %g: %v rank %d, want LowRank rank 1", v, tile.Kind, tile.Rank())
+		}
 	}
 }
 

@@ -73,6 +73,14 @@ echo "== point-ordering fuzz smoke"
 # cell) on arbitrary finite point sets. Runs in the foreground.
 go test -run '^$' -fuzz FuzzKDOrder -fuzztime 10s ./internal/rbf
 
+echo "== kernel-block fuzz smoke"
+# rbf.Problem.Block leaves out the entries and blocks the geometry
+# proves exactly zero; on arbitrary finite point sets, shape
+# parameters, kernels and ranges it must still equal the entrywise
+# kernel bit for bit. Minimizing each new input is capped at 200 runs,
+# or it takes most of the 10 s. Runs in the foreground.
+go test -run '^$' -fuzz FuzzBlockBitwise -fuzztime 10s -fuzzminimizetime 200x ./internal/rbf
+
 echo "== full test suite"
 go test ./...
 
