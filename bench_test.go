@@ -402,12 +402,9 @@ func BenchmarkSolveLatency(b *testing.B) {
 	}
 }
 
-// Compressor benchmarks: the deterministic chain vs blocked ARA on the
-// same tile column of a real RBF operator. ARA's advantage is that one
-// sampling GEMM serves the whole column; the per-block SVD chain pays
-// its O(b³) per tile. Both report allocs/op — ARA must stay at zero in
-// steady state (the arena high-water mark is reached on the first
-// iteration).
+// BenchmarkCompressSVD times truncated QRCP (tlr.CompressWS) over the
+// off-diagonal tiles of one tile column of a real RBF operator, with
+// allocs/op.
 func benchCompressorColumn(b *testing.B) []*dense.Matrix {
 	b.Helper()
 	const n, tile = 1024, 256
@@ -423,27 +420,13 @@ func benchCompressorColumn(b *testing.B) []*dense.Matrix {
 func BenchmarkCompressSVD(b *testing.B) {
 	blocks := benchCompressorColumn(b)
 	out := make([]*tlr.Tile, len(blocks))
-	comp := tlr.SVDCompressor{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ws := dense.GetWorkspace()
 		for j, blk := range blocks {
-			out[j] = comp.CompressWS(blk, 1e-6, 0, ws)
+			out[j] = tlr.CompressWS(blk, 1e-6, 0, ws)
 		}
-		ws.Release()
-	}
-}
-
-func BenchmarkCompressARA(b *testing.B) {
-	blocks := benchCompressorColumn(b)
-	out := make([]*tlr.Tile, len(blocks))
-	comp := tlr.ARACompressor{Seed: 42}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ws := dense.GetWorkspace()
-		comp.CompressColumnWS(0, blocks, 1e-6, 0, ws, out)
 		ws.Release()
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"tlrchol/internal/rbf"
 	"tlrchol/internal/sim"
 	"tlrchol/internal/tilemat"
-	"tlrchol/internal/tlr"
 	"tlrchol/internal/trace"
 	sverify "tlrchol/internal/verify"
 )
@@ -69,8 +68,6 @@ func main() {
 	nodes := flag.Int("nodes", 0, "virtual cluster nodes for distributed execution (0 = shared memory)")
 	distName := flag.String("dist", "2dbc", "distribution for -nodes: 2dbc, lorapo, band or diamond")
 	solveK := flag.Int("solve", 0, "after factorizing, solve this many random RHS in one blocked solve and report residuals (works without -verify's dense operator)")
-	compress := flag.String("compress", "svd", "tile compressor: svd (deterministic) or ara (blocked adaptive randomized approximation)")
-	araBS := flag.Int("ara-bs", 0, "ara sampling block size (0 = compressor default; requires -compress ara)")
 	factorKind := flag.String("factor", "chol", "factorization: chol (SPD only) or ldlt (signed, symmetric indefinite)")
 	augmented := flag.Bool("augmented", false, "factor the polynomial-augmented saddle-point system [K P; P^T 0] (indefinite; requires -factor ldlt)")
 	flag.Parse()
@@ -102,17 +99,6 @@ func main() {
 	}
 	if *solveK < 0 {
 		fail("-solve must be ≥ 0, got %d", *solveK)
-	}
-	switch *compress {
-	case "svd", "ara":
-	default:
-		fail("unknown -compress %q (want svd or ara)", *compress)
-	}
-	if *araBS < 0 {
-		fail("-ara-bs must be ≥ 0, got %d", *araBS)
-	}
-	if *araBS > 0 && *compress != "ara" {
-		fail("-ara-bs requires -compress ara")
 	}
 	switch *factorKind {
 	case "chol", "ldlt":
@@ -176,13 +162,9 @@ func main() {
 		asm = prob.AugmentedBlock
 		fmt.Printf("augmented saddle-point system: dim=%d (%d points + 4 polynomial constraints)\n", dim, *n)
 	}
-	comp, cerr := tlr.CompressorFor(*compress, *araBS, 42)
-	if cerr != nil {
-		fail("%v", cerr)
-	}
 
 	start := time.Now()
-	m, st := tilemat.FromAssemblerComp(dim, *b, asm, *tol, 0, comp)
+	m, st := tilemat.FromAssembler(dim, *b, asm, *tol, 0)
 	compT := time.Since(start)
 	stats := m.Stats()
 	fmt.Printf("compression: %v  (dense %.1f MB -> TLR %.1f MB, %.1fx)\n",

@@ -10,7 +10,6 @@ import (
 	"tlrchol/internal/obs"
 	"tlrchol/internal/rbf"
 	"tlrchol/internal/tilemat"
-	"tlrchol/internal/tlr"
 )
 
 // augMatrix builds the compressed augmented RBF saddle-point system
@@ -168,38 +167,11 @@ func TestLDLtOnSPDMatchesCholesky(t *testing.T) {
 	}
 }
 
-// TestARACompressedFactorizationMatchesSVD: building the operator with
-// the randomized compressor must not change what the factorization
-// delivers — both compressions factor to the same end-to-end accuracy.
-func TestARACompressedFactorizationMatchesSVD(t *testing.T) {
-	const tol = 1e-6
-	n, b := 384, 64
-	pts := rbf.VirusPopulation(rbf.DefaultVirusConfig(n))[:n]
-	delta := 4 * rbf.DefaultShape(pts)
-	prob, _ := rbf.NewProblem(pts, rbf.Gaussian{Delta: delta, Nugget: 100 * tol})
-	a := prob.Dense()
-
-	mSVD, _ := tilemat.FromAssemblerComp(n, b, prob.Block, tol, 0, tlr.SVDCompressor{})
-	mARA, _ := tilemat.FromAssemblerComp(n, b, prob.Block, tol, 0, tlr.ARACompressor{Seed: 42})
-	if _, err := Factorize(mSVD, Options{Tol: tol, Workers: 2, Trim: true}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Factorize(mARA, Options{Tol: tol, Workers: 2, Trim: true}); err != nil {
-		t.Fatal(err)
-	}
-	eSVD, eARA := FactorError(mSVD, a), FactorError(mARA, a)
-	if eSVD > 500*tol || eARA > 500*tol {
-		t.Fatalf("factor errors out of tolerance: svd %g, ara %g", eSVD, eARA)
-	}
-	if eARA > 10*eSVD+10*tol {
-		t.Fatalf("ARA-compressed factorization much worse: %g vs %g", eARA, eSVD)
-	}
-}
-
 // TestFactorizationSVDsConverge: every Jacobi SVD under a Cholesky
-// factorization and under an ARA-compressed LDLᵀ factorization must end
-// on a sweep without rotation. dense.svd.capped counts the ones cut off
-// by the sweep cap instead, as one recompression in five once was.
+// factorization and under an LDLᵀ factorization of the augmented
+// saddle-point operator must end on a sweep without rotation.
+// dense.svd.capped counts the ones cut off by the sweep cap instead, as
+// one recompression in five once was.
 func TestFactorizationSVDsConverge(t *testing.T) {
 	const tol = 1e-6
 	calls, capped := obs.Default.Counter("dense.svd.calls"), obs.Default.Counter("dense.svd.capped")
@@ -212,7 +184,7 @@ func TestFactorizationSVDsConverge(t *testing.T) {
 	n, b := 508, 64
 	pts := rbf.VirusPopulation(rbf.DefaultVirusConfig(n))[:n]
 	prob, _ := rbf.NewProblem(pts, rbf.Gaussian{Delta: 4 * rbf.DefaultShape(pts), Nugget: 1e-2})
-	aug, _ := tilemat.FromAssemblerComp(prob.AugmentedDim(), b, prob.AugmentedBlock, tol, 0, tlr.ARACompressor{Seed: 3})
+	aug, _ := tilemat.FromAssembler(prob.AugmentedDim(), b, prob.AugmentedBlock, tol, 0)
 	if _, err := FactorizeLDLt(aug, Options{Tol: tol, Workers: 2, Trim: true}); err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ type SVDResult struct {
 // dot product and, when it rotates, two rotations; numerically null
 // columns are deflated, so rank-deficient input converges like any
 // other. In the TLR framework it is applied to the (rank+rank)² core
-// matrices of recompression and to ARA's sample blocks.
+// matrices of recompression.
 func SVD(a *Matrix) SVDResult {
 	ws := GetWorkspace()
 	defer ws.Release()

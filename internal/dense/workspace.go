@@ -22,7 +22,7 @@ var (
 
 // Workspace is a bump-allocated scratch arena for the transient
 // matrices and slices of the TLR hot paths (HCORE GEMM/SYRK, QR/QRCP,
-// SVD, ARA). A kernel takes scratch with Floats/Ints/Matrix, and the
+// SVD). A kernel takes scratch with Floats/Ints/Matrix, and the
 // whole arena is reclaimed at once with Release — there is no per-object
 // free. After the first few calls have grown the slab to the high-water
 // mark, a Get/work/Release cycle performs zero heap allocations, which

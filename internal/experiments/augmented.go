@@ -8,15 +8,20 @@ import (
 	"tlrchol/internal/dense"
 	"tlrchol/internal/rbf"
 	"tlrchol/internal/tilemat"
-	"tlrchol/internal/tlr"
 )
 
-// AugmentedRun is one compressor's pass over the polynomial-augmented
-// saddle-point system: compression shape, pivot signature, and the
-// three accuracy numbers that certify the indefinite pipeline end to
-// end.
-type AugmentedRun struct {
-	Compressor string
+// AugmentedResult is the end-to-end augmented-interpolation experiment:
+// the full RBF interpolant of the mesh-deformation application (kernel
+// block plus linear polynomial tail), factored with TLR-LDLᵀ: the
+// compression shape, the pivot signature, and the three accuracy
+// numbers that certify the indefinite pipeline end to end. Cholesky
+// must refuse the operator — that refusal message is part of the
+// result, as the evidence this workload class genuinely needed the
+// signed factorization.
+type AugmentedResult struct {
+	N, Dim, B  int
+	Tol        float64
+	CholReject string
 	Density    float64
 	MaxRank    int
 	// NegPivots counts negative diagonal entries of D. Quasi-definite
@@ -33,19 +38,6 @@ type AugmentedRun struct {
 	// exactly and zero RBF weights — the property the augmentation
 	// exists to provide, which the unaugmented system only approximates.
 	PolyErr float64
-}
-
-// AugmentedResult is the end-to-end augmented-interpolation experiment:
-// the full RBF interpolant of the mesh-deformation application (kernel
-// block plus linear polynomial tail), factored with TLR-LDLᵀ under both
-// compressors. Cholesky must refuse the operator — that refusal message
-// is part of the result, as the evidence this workload class genuinely
-// needed the signed factorization.
-type AugmentedResult struct {
-	N, Dim, B  int
-	Tol        float64
-	CholReject string
-	Runs       []AugmentedRun
 }
 
 // Augmented runs the experiment with real numerics. scale ∈ (0,1]
@@ -85,65 +77,41 @@ func Augmented(scale float64) (*AugmentedResult, error) {
 		rhs.Set(i, 1, math.Sin(3*p.X)+math.Cos(2*p.Y)*p.Z)
 	}
 
-	for _, comp := range []struct {
-		name string
-		c    tlr.Compressor
-	}{
-		{"svd", tlr.SVDCompressor{}},
-		{"ara", tlr.ARACompressor{Seed: 42}},
-	} {
-		m, _ := tilemat.FromAssemblerComp(dim, b, prob.AugmentedBlock, tol, 0, comp.c)
-		st := m.Stats()
+	m, _ := tilemat.FromAssembler(dim, b, prob.AugmentedBlock, tol, 0)
+	st := m.Stats()
+	res.Density, res.MaxRank = st.Density, st.Max
 
-		if res.CholReject == "" {
-			probe := m.Clone()
-			if _, err := core.Factorize(probe, core.Options{Tol: tol, Sequential: true}); err != nil {
-				res.CholReject = err.Error()
-			} else {
-				return nil, fmt.Errorf("augmented: Cholesky unexpectedly accepted the indefinite operator")
-			}
-		}
-
-		if _, err := core.FactorizeLDLt(m, core.Options{Tol: tol, Trim: true}); err != nil {
-			return nil, fmt.Errorf("augmented %s: %w", comp.name, err)
-		}
-		neg := 0
-		for k := 0; k < m.NT; k++ {
-			d := m.At(k, k).D
-			for r := 0; r < d.Rows; r++ {
-				if d.At(r, r) < 0 {
-					neg++
-				}
-			}
-		}
-
-		x := rhs.Clone()
-		core.Solve(m, x)
-
-		// Linear reproduction: the first n rows of column 0 are the RBF
-		// weights (want 0), the last 4 the polynomial coefficients.
-		polyErr := 0.0
-		for i := 0; i < n; i++ {
-			if v := math.Abs(x.At(i, 0)); v > polyErr {
-				polyErr = v
-			}
-		}
-		for c, w := range want {
-			if v := math.Abs(x.At(n+c, 0) - w); v > polyErr {
-				polyErr = v
-			}
-		}
-
-		res.Runs = append(res.Runs, AugmentedRun{
-			Compressor: comp.name,
-			Density:    st.Density,
-			MaxRank:    st.Max,
-			NegPivots:  neg,
-			FactorErr:  core.FactorErrorLDLt(m, ref),
-			Residual:   core.ResidualNorm(ref, x, rhs),
-			PolyErr:    polyErr,
-		})
+	_, err := core.Factorize(m.Clone(), core.Options{Tol: tol, Sequential: true})
+	if err == nil {
+		return nil, fmt.Errorf("augmented: Cholesky unexpectedly accepted the indefinite operator")
 	}
+	res.CholReject = err.Error()
+
+	if _, err := core.FactorizeLDLt(m, core.Options{Tol: tol, Trim: true}); err != nil {
+		return nil, fmt.Errorf("augmented: %w", err)
+	}
+	for k := 0; k < m.NT; k++ {
+		d := m.At(k, k).D
+		for r := 0; r < d.Rows; r++ {
+			if d.At(r, r) < 0 {
+				res.NegPivots++
+			}
+		}
+	}
+
+	x := rhs.Clone()
+	core.Solve(m, x)
+
+	// Linear reproduction: the first n rows of column 0 are the RBF
+	// weights (want 0), the last 4 the polynomial coefficients.
+	for i := 0; i < n; i++ {
+		res.PolyErr = max(res.PolyErr, math.Abs(x.At(i, 0)))
+	}
+	for c, w := range want {
+		res.PolyErr = max(res.PolyErr, math.Abs(x.At(n+c, 0)-w))
+	}
+	res.FactorErr = core.FactorErrorLDLt(m, ref)
+	res.Residual = core.ResidualNorm(ref, x, rhs)
 	return res, nil
 }
 
@@ -152,17 +120,14 @@ func (r *AugmentedResult) Tables() []Table {
 	t := Table{
 		Title: fmt.Sprintf("Augmented RBF interpolation — TLR-LDLᵀ on the saddle-point system [K P; Pᵀ 0] (n=%d, dim=%d, b=%d, tol=%.0e)",
 			r.N, r.Dim, r.B, r.Tol),
-		Header: []string{"compressor", "density", "max rank", "neg pivots", "factor err", "solve resid", "poly repro err"},
+		Header: []string{"density", "max rank", "neg pivots", "factor err", "solve resid", "poly repro err"},
 	}
-	for _, run := range r.Runs {
-		t.Add(run.Compressor,
-			fmt.Sprintf("%.3f", run.Density),
-			fmt.Sprintf("%d", run.MaxRank),
-			fmt.Sprintf("%d", run.NegPivots),
-			fmt.Sprintf("%.2e", run.FactorErr),
-			fmt.Sprintf("%.2e", run.Residual),
-			fmt.Sprintf("%.2e", run.PolyErr))
-	}
+	t.Add(fmt.Sprintf("%.3f", r.Density),
+		fmt.Sprintf("%d", r.MaxRank),
+		fmt.Sprintf("%d", r.NegPivots),
+		fmt.Sprintf("%.2e", r.FactorErr),
+		fmt.Sprintf("%.2e", r.Residual),
+		fmt.Sprintf("%.2e", r.PolyErr))
 	t.Note("Cholesky refuses this operator: %s", r.CholReject)
 	t.Note("neg pivots = 4 is the quasi-definite signature: one per polynomial constraint row")
 	return []Table{t}

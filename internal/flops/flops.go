@@ -102,24 +102,6 @@ func GemmDLR(b, ka, kb, kc int) float64 {
 	return GemmLR(b, ka, kb, kc) + float64(b)*float64(kb)
 }
 
-// CompressARA returns the flops of compressing a dense b×b tile to rank
-// k by blocked randomized sampling with block size bs: ceil(k/bs)+1
-// sampling GEMMs of 2b²·bs, the Gram–Schmidt/QR basis work (~4bk² over
-// the whole build), and the final QᵀA projection + small SVD
-// (2b²k + svd). The +1 round is the rank test that certifies
-// convergence — the structural overhead of adaptivity.
-func CompressARA(b, k, bs int) float64 {
-	if bs <= 0 {
-		bs = 32
-	}
-	bf, kf := float64(b), float64(k)
-	rounds := float64((k+bs-1)/bs + 1)
-	sample := rounds * 2 * bf * bf * float64(bs)
-	basis := 4 * bf * kf * kf
-	finalize := 2*bf*bf*kf + 30*kf*kf*kf
-	return sample + basis + finalize
-}
-
 // CompressQRCP returns the flops of compressing a dense b×b tile to
 // rank k with truncated column-pivoted QR: ~4b²k.
 func CompressQRCP(b, k int) float64 {

@@ -80,22 +80,3 @@ func TestLDLtKernelsTrackCholesky(t *testing.T) {
 		t.Fatalf("dense D-weighted kernels must include the scale")
 	}
 }
-
-func TestCompressARAAmortizes(t *testing.T) {
-	// At moderate ranks the sampling build is within a small factor of
-	// the deterministic compression; the adaptive overhead is one extra
-	// sampling round.
-	b, k := 1024, 64
-	ara, qrcp := CompressARA(b, k, 32), CompressQRCP(b, k)
-	if ara <= 0 || qrcp <= 0 {
-		t.Fatal("costs must be positive")
-	}
-	if ara > 10*qrcp {
-		t.Fatalf("ARA cost model out of range: %g vs %g", ara, qrcp)
-	}
-	// A coarser block overshoots the rank and pays a bigger
-	// certification round, so it costs more total flops.
-	if CompressARA(b, k, 64) <= CompressARA(b, k, 8) {
-		t.Fatalf("coarser sampling blocks must cost more total sampling flops")
-	}
-}

@@ -33,17 +33,15 @@ type ProblemSpec struct {
 	DeltaFactor float64 `json:"delta_factor,omitempty"`
 	// Nugget is the diagonal regularization (default 100·Tol).
 	Nugget float64 `json:"nugget,omitempty"`
-	// Seed selects the synthetic virus-population geometry (default 42)
-	// and, under the ara compressor, its Gaussian sampling stream.
+	// Seed selects the synthetic virus-population geometry (default 42).
 	Seed int64 `json:"seed,omitempty"`
 	// Trim enables DAG trimming (default true).
 	Trim *bool `json:"trim,omitempty"`
-	// Compress selects the tile compressor: svd (default, deterministic)
-	// or ara (blocked adaptive randomized approximation).
+	// Compress names the tile compressor. Every off-diagonal tile is
+	// built by truncated QRCP, spelled svd (the default); ara, the
+	// randomized compressor the library no longer has, is still
+	// accepted and builds with QRCP too. normalize stores svd for both.
 	Compress string `json:"compress,omitempty"`
-	// AraBS is the ara sampling block size (0 = the compressor default;
-	// only valid with compress=ara).
-	AraBS int `json:"ara_bs,omitempty"`
 	// Factor selects the factorization: chol (default, SPD only) or
 	// ldlt (signed, for symmetric indefinite operators).
 	Factor string `json:"factor,omitempty"`
@@ -100,11 +98,12 @@ func (sp *ProblemSpec) normalize(maxN int) error {
 	if sp.DeltaFactor < 0 || math.IsNaN(sp.DeltaFactor) || math.IsInf(sp.DeltaFactor, 0) {
 		return fmt.Errorf("delta_factor must be positive and finite, got %g", sp.DeltaFactor)
 	}
-	if math.IsNaN(sp.Nugget) || math.IsInf(sp.Nugget, 0) {
-		return fmt.Errorf("nugget must be finite, got %g", sp.Nugget)
-	}
 	if sp.Nugget == 0 {
 		sp.Nugget = 100 * sp.Tol
+	}
+	// Checked after the default: 100·tol overflows for tol near MaxFloat64.
+	if math.IsNaN(sp.Nugget) || math.IsInf(sp.Nugget, 0) {
+		return fmt.Errorf("nugget must be finite, got %g", sp.Nugget)
 	}
 	if sp.Seed == 0 {
 		sp.Seed = 42
@@ -113,19 +112,11 @@ func (sp *ProblemSpec) normalize(maxN int) error {
 		t := true
 		sp.Trim = &t
 	}
-	if sp.Compress == "" {
-		sp.Compress = "svd"
-	}
 	switch sp.Compress {
-	case "svd", "ara":
+	case "", "svd", "ara":
+		sp.Compress = "svd"
 	default:
-		return fmt.Errorf("unknown compressor %q (want svd or ara)", sp.Compress)
-	}
-	if sp.AraBS < 0 {
-		return fmt.Errorf("ara_bs must be ≥ 0, got %d", sp.AraBS)
-	}
-	if sp.AraBS > 0 && sp.Compress != "ara" {
-		return fmt.Errorf("ara_bs requires compress=ara")
+		return fmt.Errorf("unknown compressor %q (want svd)", sp.Compress)
 	}
 	if sp.Factor == "" {
 		sp.Factor = "chol"
@@ -197,8 +188,9 @@ func validatePoints(pts []rbf.Point) error {
 // Fingerprint hashes the problem identity: the geometry (exact float
 // bits of every generated point, with -0.0 canonicalized to +0.0), the
 // kernel and its parameters, the discretization/accuracy knobs (tile,
-// tol, maxrank, trim), and the build pipeline (compressor kind and its
-// block size, factorization kind, augmentation). Anything that changes
+// tol, maxrank, trim), and the build pipeline (factorization kind,
+// augmentation). Every compressor spelling builds the same tiles, so
+// the compressor is not hashed. Anything that changes
 // the factor's bits is in the hash; request-side options (RHS,
 // refinement) are not. Strings are length-prefixed so adjacent fields
 // cannot alias across their boundary. Callers must validate the
@@ -229,8 +221,6 @@ func Fingerprint(sp ProblemSpec, pts []rbf.Point) string {
 	} else {
 		w64(0)
 	}
-	ws(sp.Compress)
-	w64(uint64(sp.AraBS))
 	ws(sp.Factor)
 	if sp.Augmented {
 		w64(1)

@@ -10,11 +10,13 @@ import (
 
 // TestFingerprintPipelineFields is the collision regression for the
 // build-pipeline spec fields. Before they entered the hash, a spec
-// requesting compress=ara or factor=ldlt fingerprinted identically to
-// the default svd/chol spec, so the second request silently got the
-// first one's cached factor — the wrong operator class entirely. Every
-// pair of specs below differs in exactly one pipeline knob and must
-// produce a distinct cache key.
+// requesting factor=ldlt fingerprinted identically to the default chol
+// spec, so the second request silently got the first one's cached
+// factor — the wrong operator class entirely. Every pair of specs below
+// differs in exactly one pipeline knob and must produce a distinct
+// cache key. The compressor spellings are the converse: ara, svd and
+// the elided default all build the same QRCP tiles, so they must share
+// one key.
 func TestFingerprintPipelineFields(t *testing.T) {
 	base := ProblemSpec{N: 64, Tile: 16, Tol: 1e-6}
 	if err := base.normalize(0); err != nil {
@@ -31,9 +33,6 @@ func TestFingerprintPipelineFields(t *testing.T) {
 		}
 		variants[name] = sp
 	}
-	mut("ara", func(sp *ProblemSpec) { sp.Compress = "ara" })
-	mut("ara-bs64", func(sp *ProblemSpec) { sp.Compress = "ara"; sp.AraBS = 64 })
-	mut("ara-bs16", func(sp *ProblemSpec) { sp.Compress = "ara"; sp.AraBS = 16 })
 	mut("ldlt", func(sp *ProblemSpec) { sp.Factor = "ldlt" })
 	mut("augmented", func(sp *ProblemSpec) { sp.Factor = "ldlt"; sp.Augmented = true })
 
@@ -54,6 +53,16 @@ func TestFingerprintPipelineFields(t *testing.T) {
 	if Fingerprint(variants["augmented"], pts) != fps["augmented"] {
 		t.Fatal("fingerprint is not deterministic")
 	}
+
+	for _, spelling := range []string{"ara", "svd"} {
+		sp := ProblemSpec{N: 64, Tile: 16, Tol: 1e-6, Compress: spelling}
+		if err := sp.normalize(0); err != nil {
+			t.Fatalf("compress=%s: %v", spelling, err)
+		}
+		if fp := Fingerprint(sp, pts); fp != fps["base"] {
+			t.Errorf("compress=%s fingerprints %s, want the default's %s", spelling, fp, fps["base"])
+		}
+	}
 }
 
 // TestServerValidationIndefinite: the pipeline-field validation errors
@@ -67,7 +76,6 @@ func TestServerValidationIndefinite(t *testing.T) {
 	}{
 		{"bad compressor", ProblemSpec{N: 64, Tile: 16, Tol: 1e-6, Compress: "qr"}, "unknown compressor"},
 		{"bad factor", ProblemSpec{N: 64, Tile: 16, Tol: 1e-6, Factor: "lu"}, "unknown factorization"},
-		{"arabs without ara", ProblemSpec{N: 64, Tile: 16, Tol: 1e-6, AraBS: 32}, "requires compress=ara"},
 		{"augmented without ldlt", ProblemSpec{N: 64, Tile: 16, Tol: 1e-6, Augmented: true}, "requires factor=ldlt"},
 	}
 	for _, tc := range cases {
@@ -83,12 +91,27 @@ func TestServerValidationIndefinite(t *testing.T) {
 			t.Errorf("%s: body %q does not mention %q", tc.name, body, tc.want)
 		}
 	}
+
+	// ara_bs, the sampling block size of the deleted randomized
+	// compressor, is no longer a spec field: any request carrying it is
+	// refused by name, whatever the compressor spelling.
+	for _, compress := range []string{"ara", "svd"} {
+		raw := json.RawMessage(`{"problem":{"n":64,"tile":16,"tol":1e-6,"compress":"` + compress + `","ara_bs":32},"nrhs":1}`)
+		resp, body := postJSON(t, ts.URL+"/v1/solve", raw)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("ara_bs with compress=%s: status %d, want 400: %s", compress, resp.StatusCode, body)
+			continue
+		}
+		if !strings.Contains(string(body), `unknown field \"ara_bs\"`) {
+			t.Errorf("ara_bs with compress=%s: body %q does not name the unknown field", compress, body)
+		}
+	}
 }
 
 // TestServerAugmentedLDLt solves the polynomial-augmented saddle-point
-// system through the full service stack: ARA compression, LDLᵀ
-// factorization, RHS padding on the way in and constraint-row
-// truncation on the way out. The Cholesky path rejects this operator
+// system through the full service stack: QRCP compression (requested
+// under its legacy ara spelling), LDLᵀ factorization, RHS padding on
+// the way in and constraint-row truncation on the way out. The Cholesky path rejects this operator
 // (it is indefinite by construction), so a 200 here means the whole
 // indefinite pipeline is live behind the API.
 func TestServerAugmentedLDLt(t *testing.T) {
@@ -142,5 +165,21 @@ func TestServerAugmentedLDLt(t *testing.T) {
 	}
 	if sr2.Fingerprint == sr.Fingerprint {
 		t.Fatalf("chol and augmented-ldlt specs share fingerprint %s", sr.Fingerprint)
+	}
+
+	// ara builds with QRCP, so the same spec spelled svd is the factor
+	// already in the cache.
+	svdSpec := spec
+	svdSpec.Compress = "svd"
+	resp3, body3 := postJSON(t, ts.URL+"/v1/factorize", FactorizeRequest{Problem: svdSpec})
+	if resp3.StatusCode != http.StatusOK {
+		t.Fatalf("factorize compress=svd: status %d: %s", resp3.StatusCode, body3)
+	}
+	var fr FactorizeResponse
+	if err := json.Unmarshal(body3, &fr); err != nil {
+		t.Fatal(err)
+	}
+	if !fr.Cached || fr.Fingerprint != sr.Fingerprint {
+		t.Fatalf("compress=svd factorize: cached=%v fingerprint %s, want a hit on %s", fr.Cached, fr.Fingerprint, sr.Fingerprint)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"tlrchol/internal/obs"
 	"tlrchol/internal/rbf"
 	"tlrchol/internal/tilemat"
-	"tlrchol/internal/tlr"
 )
 
 // shard is one solve engine behind the front end: a factor cache with
@@ -208,15 +207,11 @@ func (sh *shard) buildFactor(rt *obs.ReqTrace, sp ProblemSpec, pts []rbf.Point, 
 
 	compressStart := rt.Now()
 	prob, _ := sp.problem(pts)
-	comp, err := tlr.CompressorFor(sp.Compress, sp.AraBS, uint64(sp.Seed))
-	if err != nil {
-		return nil, err
-	}
 	asm := tilemat.Assembler(prob.Block)
 	if sp.Augmented {
 		asm = prob.AugmentedBlock
 	}
-	m, _, err := tilemat.FromAssemblerParallelComp(sp.Dim(), sp.Tile, asm, sp.Tol, sp.MaxRank, sh.cfg.Workers, comp)
+	m, _, err := tilemat.FromAssemblerParallel(sp.Dim(), sp.Tile, asm, sp.Tol, sp.MaxRank, sh.cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("compression failed: %w", err)
 	}

@@ -27,11 +27,6 @@ type Config struct {
 	// CollectTrace records per-task execution records (process = worker)
 	// in Result.Trace for Gantt/utilization analysis.
 	CollectTrace bool
-	// ARABlock, when positive, models compression with the blocked
-	// randomized (ARA) chain at this sampling block size instead of the
-	// deterministic QRCP chain (CompressionTime only; the factorization
-	// cost model is compression-agnostic).
-	ARABlock int
 }
 
 // Result reports one simulated factorization.
@@ -472,14 +467,8 @@ func CriticalPathTime(w Workload, m Machine) float64 {
 
 // CompressionTime estimates the (embarrassingly parallel) matrix
 // generation + compression phase of Fig 11: each process generates and
-// compresses its own tiles on all its cores. cfg.ARABlock switches the
-// per-tile cost from the deterministic QRCP chain to blocked
-// randomized sampling.
+// compresses its own tiles on all its cores with truncated QRCP.
 func CompressionTime(w Workload, cfg Config) float64 {
-	compress := flops.CompressQRCP
-	if cfg.ARABlock > 0 {
-		compress = func(b, k int) float64 { return flops.CompressARA(b, k, cfg.ARABlock) }
-	}
 	per := make([]float64, cfg.Nodes)
 	for m := 0; m < w.NT; m++ {
 		for n := 0; n <= m; n++ {
@@ -497,9 +486,9 @@ func CompressionTime(w Workload, cfg Config) float64 {
 					if w.Trimmed {
 						continue
 					}
-					c += compress(w.B, 1)
+					c += flops.CompressQRCP(w.B, 1)
 				} else {
-					c += compress(w.B, r)
+					c += flops.CompressQRCP(w.B, r)
 				}
 			}
 			per[owner] += c / (cfg.Machine.GFlopsPerCore * 1e9)

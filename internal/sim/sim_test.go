@@ -364,27 +364,3 @@ func mustRun(t *testing.T, w Workload, cfg Config) Result {
 	}
 	return r
 }
-
-// TestCompressionTimeARAModel: the ARA cost model must be selected by
-// Config.ARABlock, and a larger sampling block must not lower the
-// modeled cost of a low-rank workload (more wasted sample columns per
-// tile at retirement).
-func TestCompressionTimeARAModel(t *testing.T) {
-	model := testModel(32)
-	w := NewWorkload(model, &model, true)
-	cfg := cfgFor(ShaheenII, 4, ownerComputes(2, 2))
-	qrcp := CompressionTime(w, cfg)
-	cfg.ARABlock = 16
-	ara16 := CompressionTime(w, cfg)
-	cfg.ARABlock = 128
-	ara128 := CompressionTime(w, cfg)
-	if ara16 == qrcp {
-		t.Fatal("ARABlock did not change the compression cost model")
-	}
-	if ara16 <= 0 || ara128 <= 0 {
-		t.Fatalf("non-positive ARA compression times: %g, %g", ara16, ara128)
-	}
-	if ara128 < ara16 {
-		t.Fatalf("larger sampling block must not cost less on low-rank tiles: bs=128 %g < bs=16 %g", ara128, ara16)
-	}
-}

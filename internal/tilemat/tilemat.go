@@ -125,10 +125,19 @@ type CompressionStats struct {
 
 // FromAssembler builds the TLR matrix tile by tile: diagonal tiles are
 // generated dense, off-diagonal tiles are generated then immediately
-// compressed at the accuracy threshold tol, so the full dense operator
-// never exists in memory at once. maxRank caps stored ranks (≤0: none).
+// compressed by truncated QRCP (tlr.CompressWS) at the accuracy
+// threshold tol, so the full dense operator never exists in memory at
+// once. maxRank caps stored ranks (≤0: none).
+//
+// It is the parallel builder at one worker, which runs the jobs in
+// buildJobs order on the calling goroutine. Only a panicking assembler
+// or compressor can fail that run; the panic is re-raised here.
 func FromAssembler(n, b int, asm Assembler, tol float64, maxRank int) (*Matrix, CompressionStats) {
-	return FromAssemblerComp(n, b, asm, tol, maxRank, tlr.SVDCompressor{})
+	m, st, err := FromAssemblerParallel(n, b, asm, tol, maxRank, 1)
+	if err != nil {
+		panic(err)
+	}
+	return m, st
 }
 
 // record accumulates one compressed off-diagonal tile into the stats.
@@ -149,87 +158,43 @@ func (st *CompressionStats) add(o CompressionStats) {
 	st.LowRankTiles += o.LowRankTiles
 }
 
-// FromAssemblerComp is FromAssembler with a pluggable tile compressor.
-// Per-tile compressors (the deterministic SVD chain) keep the original
-// one-tile-at-a-time memory profile; column-batched compressors (ARA)
-// get all off-diagonal tiles of a tile column assembled at once so the
-// sampling GEMMs amortize over the whole column, at the cost of one
-// column of dense blocks resident instead of one tile.
-//
-// It is the parallel builder at one worker, which runs the jobs in
-// buildJobs order on the calling goroutine. Only a panicking assembler
-// or compressor can fail that run; the panic is re-raised here.
-func FromAssemblerComp(n, b int, asm Assembler, tol float64, maxRank int, comp tlr.Compressor) (*Matrix, CompressionStats) {
-	m, st, err := FromAssemblerParallelComp(n, b, asm, tol, maxRank, 1, comp)
-	if err != nil {
-		panic(err)
-	}
-	return m, st
-}
-
-// buildJob is one unit of a builder's work: diagonal tile j (i == j),
-// off-diagonal tile (i,j), or all off-diagonal tiles of column j at
-// once for a column-batched compressor (i < 0).
+// buildJob is one unit of a builder's work: diagonal tile j (i == j) or
+// off-diagonal tile (i,j).
 type buildJob struct{ i, j int }
 
 // buildJobs lists a builder's jobs in the sequential order: per tile
 // column, the diagonal tile, then its off-diagonal tiles.
-func buildJobs(nt int, comp tlr.Compressor) []buildJob {
-	_, batched := comp.(tlr.ColumnCompressor)
+func buildJobs(nt int) []buildJob {
 	var jobs []buildJob
 	for j := 0; j < nt; j++ {
-		jobs = append(jobs, buildJob{j, j})
-		if !batched {
-			for i := j + 1; i < nt; i++ {
-				jobs = append(jobs, buildJob{i, j})
-			}
-		} else if j < nt-1 {
-			jobs = append(jobs, buildJob{-1, j})
+		for i := j; i < nt; i++ {
+			jobs = append(jobs, buildJob{i, j})
 		}
 	}
 	return jobs
 }
 
 func (jb buildJob) String() string {
-	switch {
-	case jb.i == jb.j:
+	if jb.i == jb.j {
 		return fmt.Sprintf("assemble(%d,%d)", jb.j, jb.j)
-	case jb.i < 0:
-		return fmt.Sprintf("compress-col(%d)", jb.j)
 	}
 	return fmt.Sprintf("compress(%d,%d)", jb.i, jb.j)
 }
 
-// build assembles job jb's tiles into m, compressing the off-diagonal
-// ones, and returns its stats.
-func (m *Matrix) build(jb buildJob, asm Assembler, tol float64, maxRank int, comp tlr.Compressor, ws *dense.Workspace) (st CompressionStats) {
-	c0, c1 := m.RowStart(jb.j), m.RowStart(jb.j)+m.TileRows(jb.j)
+// build assembles job jb's tile into m, compressing it if it is off the
+// diagonal, and returns its stats.
+func (m *Matrix) build(jb buildJob, asm Assembler, tol float64, maxRank int, ws *dense.Workspace) (st CompressionStats) {
+	r0, c0 := m.RowStart(jb.i), m.RowStart(jb.j)
+	blk := asm(r0, r0+m.TileRows(jb.i), c0, c0+m.TileRows(jb.j))
+	st.DenseBytes = 8 * blk.Rows * blk.Cols
 	if jb.i == jb.j {
-		diag := asm(c0, c1, c0, c1)
-		m.tiles[jb.j][jb.j] = tlr.NewDense(diag)
-		st.DenseBytes = 8 * diag.Rows * diag.Cols
+		m.tiles[jb.j][jb.j] = tlr.NewDense(blk)
 		st.CompressedBytes = st.DenseBytes
 		return st
 	}
-	lo, hi := jb.i, jb.i+1
-	if jb.i < 0 {
-		lo, hi = jb.j+1, m.NT
-	}
-	blocks, out := make([]*dense.Matrix, hi-lo), make([]*tlr.Tile, hi-lo)
-	for r := range blocks {
-		r0 := m.RowStart(lo + r)
-		blocks[r] = asm(r0, r0+m.TileRows(lo+r), c0, c1)
-		st.DenseBytes += 8 * blocks[r].Rows * blocks[r].Cols
-	}
-	if jb.i < 0 {
-		comp.(tlr.ColumnCompressor).CompressColumnWS(jb.j, blocks, tol, maxRank, ws, out)
-	} else {
-		out[0] = comp.CompressWS(blocks[0], tol, maxRank, ws)
-	}
-	for r, t := range out {
-		m.tiles[lo+r][jb.j] = t
-		st.record(t)
-	}
+	t := tlr.CompressWS(blk, tol, maxRank, ws)
+	m.tiles[jb.i][jb.j] = t
+	st.record(t)
 	return st
 }
 
@@ -390,23 +355,14 @@ func DenseTiles(a *dense.Matrix, b int) *Matrix {
 
 // FromAssemblerParallel is FromAssembler with the generation +
 // compression of every tile run as independent tasks on the runtime's
-// worker pool. The phase is embarrassingly parallel, and it is half of
-// a benchmark factorization pass (49–56%, down from 80–87% before
+// worker pool, one task per job of the sequential builder (buildJobs).
+// The phase is embarrassingly parallel, and it is half of a benchmark
+// factorization pass (49–56%, down from 80–87% before
 // rbf.Problem.Block stopped evaluating proven-zero blocks; Fig 11).
+// Results are bitwise identical to the sequential builder.
 func FromAssemblerParallel(n, b int, asm Assembler, tol float64, maxRank, workers int) (*Matrix, CompressionStats, error) {
-	return FromAssemblerParallelComp(n, b, asm, tol, maxRank, workers, tlr.SVDCompressor{})
-}
-
-// FromAssemblerParallelComp is FromAssemblerParallel with a pluggable
-// compressor: one task per job of the sequential builder (buildJobs) —
-// per tile for per-tile compressors; for a column-batched compressor
-// (ARA) one per tile column's off-diagonal tiles, so each task runs one
-// batched sampling pass. Results are identical to the sequential
-// builder either way — the ARA sampling streams are position-seeded,
-// not scheduling-dependent.
-func FromAssemblerParallelComp(n, b int, asm Assembler, tol float64, maxRank, workers int, comp tlr.Compressor) (*Matrix, CompressionStats, error) {
 	m := New(n, b)
-	jobs := buildJobs(m.NT, comp)
+	jobs := buildJobs(m.NT)
 	g := &runtime.Graph{LabelFunc: func(id int) string { return jobs[id].String() }}
 	for range jobs {
 		g.Add(0)
@@ -414,7 +370,7 @@ func FromAssemblerParallelComp(n, b int, asm Assembler, tol float64, maxRank, wo
 	var mu sync.Mutex
 	var st CompressionStats
 	_, err := g.Run(context.TODO(), workers, func(id, _ int, ws *dense.Workspace) error {
-		js := m.build(jobs[id], asm, tol, maxRank, comp, ws)
+		js := m.build(jobs[id], asm, tol, maxRank, ws)
 		mu.Lock()
 		st.add(js)
 		mu.Unlock()

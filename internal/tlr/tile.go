@@ -274,3 +274,21 @@ func RecompressWS(u, v *dense.Matrix, tol float64, maxRank int, ws *dense.Worksp
 	dense.Gemm(dense.NoTrans, dense.NoTrans, 1, qv, &vs, 0, newV)
 	return NewLowRank(newU, newV)
 }
+
+// mview builds a sub-matrix view as a value header (no heap traffic).
+func mview(m *dense.Matrix, i, j, r, c int) dense.Matrix {
+	return dense.Matrix{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[i*m.Stride+j:]}
+}
+
+// scaleCols returns the scratch matrix whose column j is s[j] times
+// column j of m, for the leading len(s) columns of m.
+func scaleCols(m *dense.Matrix, s []float64, ws *dense.Workspace) *dense.Matrix {
+	out := ws.Matrix(m.Rows, len(s))
+	for i := 0; i < m.Rows; i++ {
+		src, dst := m.Row(i), out.Row(i)
+		for j, sj := range s {
+			dst[j] = src[j] * sj
+		}
+	}
+	return out
+}

@@ -81,6 +81,12 @@ echo "== kernel-block fuzz smoke"
 # or it takes most of the 10 s. Runs in the foreground.
 go test -run '^$' -fuzz FuzzBlockBitwise -fuzztime 10s -fuzzminimizetime 200x ./internal/rbf
 
+echo "== problem-spec fuzz smoke"
+# serve's ProblemSpec.normalize must never panic on a decoded request,
+# a spec it accepts must be its own normal form, and that form must
+# fingerprint the same after a second normalize. Runs in the foreground.
+go test -run '^$' -fuzz FuzzSpecNormalize -fuzztime 10s ./internal/serve
+
 echo "== full test suite"
 go test ./...
 
@@ -264,11 +270,10 @@ grep -q '^replication: ' "$serve_log" || {
 echo "== indefinite factorization gate"
 # The LDLᵀ keystone (factor + planned solve vs the dense reference on a
 # saddle-point system Cholesky rejects) must hold under the race
-# detector, and a CLI run of the full indefinite pipeline — ARA
-# compression, augmented assembly, LDLᵀ factor, solve — must report its
-# residual.
+# detector, and a CLI run of the full indefinite pipeline — augmented
+# assembly, compression, LDLᵀ factor, solve — must report its residual.
 go test -race -run 'TestLDLtMatchesDense|TestLDLtPlannedSolveBitwise' ./internal/core
-ldlt_out="$(go run ./cmd/tlrchol -n 508 -b 64 -tol 1e-8 -compress ara -factor ldlt -augmented)"
+ldlt_out="$(go run ./cmd/tlrchol -n 508 -b 64 -tol 1e-8 -factor ldlt -augmented)"
 echo "$ldlt_out" | grep -q 'factor error |LDL^T - A|/|A|' || {
     echo "check.sh: ldlt run printed no LDL^T factor error" >&2; exit 1; }
 echo "$ldlt_out" | grep -q 'solve residual |Ax - b|/|b|' || {
