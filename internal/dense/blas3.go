@@ -236,10 +236,7 @@ func syrkSmall(tA TransFlag, alpha float64, a *Matrix, beta float64, c *Matrix) 
 		for j := 0; j <= i; j++ {
 			var s float64
 			if tA == NoTrans {
-				ai, aj := a.Row(i), a.Row(j)
-				for kk := 0; kk < k; kk++ {
-					s += ai[kk] * aj[kk]
-				}
+				s = dot(a.Row(i), a.Row(j))
 			} else {
 				for kk := 0; kk < k; kk++ {
 					s += a.At(kk, i) * a.At(kk, j)
@@ -308,17 +305,11 @@ func GemmLowerNT(alpha float64, a, b, c *Matrix) {
 // with direct loops, where B' = b.View(rowOff, 0, c.Rows, k) — the
 // diagonal-block case of GemmLowerNT reuses the full B with an offset.
 func gemmLowerSmall(alpha float64, a, b, c *Matrix, rowOff int) {
-	k := a.Cols
 	for i := 0; i < c.Rows; i++ {
 		ai := a.Row(i)
 		ci := c.Data[i*c.Stride:]
 		for j := 0; j <= i; j++ {
-			bj := b.Row(rowOff + j)
-			var s float64
-			for kk := 0; kk < k; kk++ {
-				s += ai[kk] * bj[kk]
-			}
-			ci[j] += alpha * s
+			ci[j] += alpha * dot(ai, b.Row(rowOff+j))
 		}
 	}
 }

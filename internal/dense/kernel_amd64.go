@@ -46,3 +46,23 @@ func microKernelArch(kb int, ap, bp []float64, acc *[gemmMRMax * gemmNR]float64)
 	_ = bp[kb*4-1]
 	microKernel8x4Asm(kb, &ap[0], &bp[0], &acc[0])
 }
+
+// dotAsm returns Σ x[i]·y[i] over the first n&^3 elements with AVX2
+// VFMADD231PD; the caller adds the rest. Implemented in kernel_amd64.s.
+//
+//go:noescape
+func dotAsm(x, y *float64, n int) float64
+
+// axpyAsm computes y[i] += alpha·x[i] over the first n&^3 elements with
+// AVX2 VFMADD231PD; the caller updates the rest. Implemented in
+// kernel_amd64.s.
+//
+//go:noescape
+func axpyAsm(alpha float64, x, y *float64, n int)
+
+// rotAsm applies the plane rotation (x, y) ← (c·x − s·y, s·x + c·y) to
+// the first n&^3 elements with AVX2 FMA; the caller rotates the rest.
+// Implemented in kernel_amd64.s.
+//
+//go:noescape
+func rotAsm(c, s float64, x, y *float64, n int)

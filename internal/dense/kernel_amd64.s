@@ -144,3 +144,169 @@ dotloop:
 	VMOVSD X3, 24(DI)
 	VZEROUPPER
 	RET
+
+// func dotAsm(x, y *float64, n int) float64
+//
+// Returns sum_i x[i]·y[i] over the first n&^3 elements: four 4-wide
+// VFMADD231PD accumulators over blocks of 16, then one accumulator over
+// blocks of 4, summed lane-wise at the end. The caller adds the last
+// n&3 products. Unaligned loads: the result depends on n alone, never
+// on where the slices sit in memory.
+TEXT ·dotAsm(SB), NOSPLIT, $0-32
+	MOVQ x+0(FP), SI
+	MOVQ y+8(FP), DI
+	MOVQ n+16(FP), CX
+
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+	MOVQ CX, DX
+	SHRQ $4, DX
+	JZ   dot4
+
+dot16:
+	VMOVUPD     (SI), Y4
+	VMOVUPD     32(SI), Y5
+	VMOVUPD     64(SI), Y6
+	VMOVUPD     96(SI), Y7
+	VFMADD231PD (DI), Y4, Y0
+	VFMADD231PD 32(DI), Y5, Y1
+	VFMADD231PD 64(DI), Y6, Y2
+	VFMADD231PD 96(DI), Y7, Y3
+	ADDQ        $128, SI
+	ADDQ        $128, DI
+	DECQ        DX
+	JNZ         dot16
+
+dot4:
+	ANDQ $15, CX
+	SHRQ $2, CX
+	JZ   dotsum
+
+dot4loop:
+	VMOVUPD     (SI), Y4
+	VFMADD231PD (DI), Y4, Y0
+	ADDQ        $32, SI
+	ADDQ        $32, DI
+	DECQ        CX
+	JNZ         dot4loop
+
+dotsum:
+	VADDPD       Y1, Y0, Y0
+	VADDPD       Y3, Y2, Y2
+	VADDPD       Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPD       X1, X0, X0
+	VUNPCKHPD    X0, X0, X1
+	VADDSD       X1, X0, X0
+	VMOVSD       X0, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func axpyAsm(alpha float64, x, y *float64, n int)
+//
+// y[i] += alpha·x[i] as one VFMADD231PD per element over the first n&^3
+// elements, 16 per iteration, then 4 per iteration. The caller updates
+// the last n&3. x and y must not overlap.
+TEXT ·axpyAsm(SB), NOSPLIT, $0-32
+	VBROADCASTSD alpha+0(FP), Y15
+	MOVQ         x+8(FP), SI
+	MOVQ         y+16(FP), DI
+	MOVQ         n+24(FP), CX
+
+	MOVQ CX, DX
+	SHRQ $4, DX
+	JZ   axpy4
+
+axpy16:
+	VMOVUPD     (DI), Y0
+	VMOVUPD     32(DI), Y1
+	VMOVUPD     64(DI), Y2
+	VMOVUPD     96(DI), Y3
+	VFMADD231PD (SI), Y15, Y0
+	VFMADD231PD 32(SI), Y15, Y1
+	VFMADD231PD 64(SI), Y15, Y2
+	VFMADD231PD 96(SI), Y15, Y3
+	VMOVUPD     Y0, (DI)
+	VMOVUPD     Y1, 32(DI)
+	VMOVUPD     Y2, 64(DI)
+	VMOVUPD     Y3, 96(DI)
+	ADDQ        $128, SI
+	ADDQ        $128, DI
+	DECQ        DX
+	JNZ         axpy16
+
+axpy4:
+	ANDQ $15, CX
+	SHRQ $2, CX
+	JZ   axpydone
+
+axpy4loop:
+	VMOVUPD     (DI), Y0
+	VFMADD231PD (SI), Y15, Y0
+	VMOVUPD     Y0, (DI)
+	ADDQ        $32, SI
+	ADDQ        $32, DI
+	DECQ        CX
+	JNZ         axpy4loop
+
+axpydone:
+	VZEROUPPER
+	RET
+
+// func rotAsm(c, s float64, x, y *float64, n int)
+//
+// The plane rotation (x, y) ← (c·x − s·y, s·x + c·y) over the first n&^3
+// elements, 8 per iteration, then 4: each output is one rounded product
+// and one fused multiply-add (VFMSUB231PD / VFMADD231PD). The caller
+// rotates the last n&3. x and y must not overlap.
+TEXT ·rotAsm(SB), NOSPLIT, $0-40
+	VBROADCASTSD c+0(FP), Y14
+	VBROADCASTSD s+8(FP), Y15
+	MOVQ         x+16(FP), SI
+	MOVQ         y+24(FP), DI
+	MOVQ         n+32(FP), CX
+
+	MOVQ CX, DX
+	SHRQ $3, DX
+	JZ   rot4
+
+rot8:
+	VMOVUPD     (SI), Y0
+	VMOVUPD     (DI), Y1
+	VMOVUPD     32(SI), Y2
+	VMOVUPD     32(DI), Y3
+	VMULPD      Y1, Y15, Y4
+	VMULPD      Y1, Y14, Y5
+	VMULPD      Y3, Y15, Y6
+	VMULPD      Y3, Y14, Y7
+	VFMSUB231PD Y0, Y14, Y4
+	VFMADD231PD Y0, Y15, Y5
+	VFMSUB231PD Y2, Y14, Y6
+	VFMADD231PD Y2, Y15, Y7
+	VMOVUPD     Y4, (SI)
+	VMOVUPD     Y5, (DI)
+	VMOVUPD     Y6, 32(SI)
+	VMOVUPD     Y7, 32(DI)
+	ADDQ        $64, SI
+	ADDQ        $64, DI
+	DECQ        DX
+	JNZ         rot8
+
+rot4:
+	TESTQ $4, CX
+	JZ    rotdone
+	VMOVUPD     (SI), Y0
+	VMOVUPD     (DI), Y1
+	VMULPD      Y1, Y15, Y4
+	VMULPD      Y1, Y14, Y5
+	VFMSUB231PD Y0, Y14, Y4
+	VFMADD231PD Y0, Y15, Y5
+	VMOVUPD     Y4, (SI)
+	VMOVUPD     Y5, (DI)
+
+rotdone:
+	VZEROUPPER
+	RET

@@ -17,3 +17,17 @@ func microKernelArch(kb int, ap, bp []float64, acc *[gemmMRMax * gemmNR]float64)
 func microDot4Asm(kb int, a0, a1, a2, a3 *float64, sa int, b *float64, sb int, acc *[4]float64) {
 	panic("dense: microDot4Asm without an architecture kernel")
 }
+
+// dotAsm, axpyAsm and rotAsm are never called when useArchKernel is
+// false; the level-1 primitives take their Go loops instead.
+func dotAsm(x, y *float64, n int) float64 {
+	panic("dense: dotAsm without an architecture kernel")
+}
+
+func axpyAsm(alpha float64, x, y *float64, n int) {
+	panic("dense: axpyAsm without an architecture kernel")
+}
+
+func rotAsm(c, s float64, x, y *float64, n int) {
+	panic("dense: rotAsm without an architecture kernel")
+}

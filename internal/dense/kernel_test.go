@@ -3,6 +3,7 @@ package dense
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -202,5 +203,55 @@ func TestWorkspaceZeroesScratch(t *testing.T) {
 	m := ws.Matrix(4, 4)
 	if m.FrobNorm() != 0 {
 		t.Fatalf("workspace matrix not zeroed")
+	}
+}
+
+// TestQRDirtyWorkspace checks that QR, QRCP and the SVD give the same
+// bits on a workspace whose recycled slab is full of NaN as on a fresh
+// one: the scratch they take without clearing (the column-major copy,
+// the reflector slab) is written before it is read. The inputs cover a
+// zero column (a reflector with tau 0) and a truncated QRCP.
+func TestQRDirtyWorkspace(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	full := Random(rng, 37, 13)
+	holed := full.Clone()
+	for i := 0; i < holed.Rows; i++ {
+		holed.Set(i, 5, 0)
+	}
+	lowRank := RandomLowRank(rng, 40, 24, 6)
+	type out struct{ q, r, perm, s []float64 }
+	run := func(a *Matrix, dirty bool) out {
+		ws := GetWorkspace()
+		defer ws.Release()
+		if dirty {
+			for i := range ws.Floats(1 << 16) {
+				ws.slab[i] = math.NaN()
+			}
+			ws.off, ws.ioff, ws.nh = 0, 0, 0
+		}
+		q, r := QRWS(a, ws)
+		o := out{q: slices.Clone(q.Data), r: slices.Clone(r.Data)}
+		res := QRCPWS(a, 1e-8, 0, ws)
+		o.q = append(o.q, res.Q.Data...)
+		o.r = append(o.r, res.R.Data...)
+		for _, p := range res.Perm {
+			o.perm = append(o.perm, float64(p))
+		}
+		sv := SVDWS(a, ws)
+		o.s = append(append(slices.Clone(sv.S), sv.U.Data...), sv.V.Data...)
+		return o
+	}
+	for name, a := range map[string]*Matrix{"full": full, "zero column": holed, "low rank": lowRank} {
+		fresh, dirty := run(a, false), run(a, true)
+		for _, pair := range [][2][]float64{{fresh.q, dirty.q}, {fresh.r, dirty.r}, {fresh.perm, dirty.perm}, {fresh.s, dirty.s}} {
+			if len(pair[0]) != len(pair[1]) {
+				t.Fatalf("%s: fresh and dirty workspaces give different shapes", name)
+			}
+			for i := range pair[0] {
+				if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+					t.Fatalf("%s: entry %d is %v on a fresh workspace, %v on a NaN-filled one", name, i, pair[0][i], pair[1][i])
+				}
+			}
+		}
 	}
 }

@@ -79,10 +79,7 @@ func potrfUnblocked(a *Matrix) error {
 	n := a.Rows
 	for j := 0; j < n; j++ {
 		rowJ := a.Data[j*a.Stride:]
-		d := rowJ[j]
-		for k := 0; k < j; k++ {
-			d -= rowJ[k] * rowJ[k]
-		}
+		d := rowJ[j] - dot(rowJ[:j], rowJ[:j])
 		if d <= 0 || math.IsNaN(d) {
 			return fmt.Errorf("%w: pivot %d is %g", ErrNotPositiveDefinite, j, d)
 		}
@@ -91,11 +88,7 @@ func potrfUnblocked(a *Matrix) error {
 		inv := 1 / d
 		for i := j + 1; i < n; i++ {
 			rowI := a.Data[i*a.Stride:]
-			s := rowI[j]
-			for k := 0; k < j; k++ {
-				s -= rowI[k] * rowJ[k]
-			}
-			rowI[j] = s * inv
+			rowI[j] = (rowI[j] - dot(rowI[:j], rowJ[:j])) * inv
 		}
 	}
 	return nil

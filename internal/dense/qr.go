@@ -23,7 +23,9 @@ func QRWS(a *Matrix, ws *Workspace) (q, r *Matrix) {
 	}
 	wt := colMajor(a, ws) // column j is wt[j*m:][:m]
 	taus := ws.Floats(n)
-	vslab := ws.Floats(n * m) // v_k = vslab[k*m:][:m-k]
+	// v_k = vslab[k*m:][:m-k]. house writes v_k whole, or returns tau 0
+	// and nothing reads it, so the slab is taken without clearing.
+	vslab := ws.floats(n * m)
 	for k := 0; k < n; k++ {
 		x := wt[k*m+k : k*m+m]
 		v := vslab[k*m : k*m+m-k]
@@ -145,7 +147,7 @@ func QRCPWS(a *Matrix, tol float64, maxRank int, ws *Workspace) QRCPResult {
 		colNorm2[j] = exactNorm2(j, 0)
 	}
 	taus := ws.Floats(kmax)
-	vslab := ws.Floats(kmax * m) // v_k = vslab[k*m:][:m-k]
+	vslab := ws.floats(kmax * m) // v_k = vslab[k*m:][:m-k], as in QRWS
 	k := 0
 	for ; k < kmax; k++ {
 		// Pivot: bring the column with the largest remaining norm to front.

@@ -110,6 +110,15 @@ func (w *Workspace) Shard() int { return w.shard }
 // Floats returns a zeroed scratch slice of n float64s, valid until
 // Release.
 func (w *Workspace) Floats(n int) []float64 {
+	s := w.floats(n)
+	clear(s)
+	return s
+}
+
+// floats is Floats without the clearing: the slice holds whatever an
+// earlier cycle left there. It is for scratch the caller writes in full
+// before reading any of it.
+func (w *Workspace) floats(n int) []float64 {
 	if n == 0 {
 		return nil
 	}
@@ -129,7 +138,6 @@ func (w *Workspace) Floats(n int) []float64 {
 	}
 	s := w.slab[w.off : w.off+n : w.off+n]
 	w.off += n
-	clear(s)
 	return s
 }
 

@@ -48,13 +48,8 @@ type Matrix struct {
 
 // New creates an all-Zero tiled matrix (dense zero diagonal tiles).
 func New(n, b int) *Matrix {
-	if n <= 0 || b <= 0 {
-		panic(fmt.Sprintf("tilemat: invalid sizes n=%d b=%d", n, b))
-	}
-	nt := (n + b - 1) / b
-	m := &Matrix{N: n, B: b, NT: nt, tiles: make([][]*tlr.Tile, nt)}
-	for i := 0; i < nt; i++ {
-		m.tiles[i] = make([]*tlr.Tile, i+1)
+	m := grid(n, b)
+	for i := 0; i < m.NT; i++ {
 		rows := m.TileRows(i)
 		for j := 0; j <= i; j++ {
 			if i == j {
@@ -63,6 +58,20 @@ func New(n, b int) *Matrix {
 				m.tiles[i][j] = tlr.NewZero(rows, m.TileRows(j))
 			}
 		}
+	}
+	return m
+}
+
+// grid creates the tile grid of an n×n matrix in tiles of b with every
+// tile nil, for builders that set each tile themselves.
+func grid(n, b int) *Matrix {
+	if n <= 0 || b <= 0 {
+		panic(fmt.Sprintf("tilemat: invalid sizes n=%d b=%d", n, b))
+	}
+	nt := (n + b - 1) / b
+	m := &Matrix{N: n, B: b, NT: nt, tiles: make([][]*tlr.Tile, nt)}
+	for i := range m.tiles {
+		m.tiles[i] = make([]*tlr.Tile, i+1)
 	}
 	return m
 }
@@ -342,7 +351,7 @@ func DenseTiles(a *dense.Matrix, b int) *Matrix {
 	if a.Rows != a.Cols {
 		panic("tilemat: DenseTiles requires a square matrix")
 	}
-	m := New(a.Rows, b)
+	m := grid(a.Rows, b)
 	for i := 0; i < m.NT; i++ {
 		r0 := m.RowStart(i)
 		for j := 0; j <= i; j++ {
@@ -356,12 +365,11 @@ func DenseTiles(a *dense.Matrix, b int) *Matrix {
 // FromAssemblerParallel is FromAssembler with the generation +
 // compression of every tile run as independent tasks on the runtime's
 // worker pool, one task per job of the sequential builder (buildJobs).
-// The phase is embarrassingly parallel, and it is half of a benchmark
-// factorization pass (49–56%, down from 80–87% before
-// rbf.Problem.Block stopped evaluating proven-zero blocks; Fig 11).
-// Results are bitwise identical to the sequential builder.
+// The phase is embarrassingly parallel; every job sets its own tile, so
+// the grid starts with none. Results are bitwise identical to the
+// sequential builder.
 func FromAssemblerParallel(n, b int, asm Assembler, tol float64, maxRank, workers int) (*Matrix, CompressionStats, error) {
-	m := New(n, b)
+	m := grid(n, b)
 	jobs := buildJobs(m.NT)
 	g := &runtime.Graph{LabelFunc: func(id int) string { return jobs[id].String() }}
 	for range jobs {

@@ -214,13 +214,26 @@ func CompressWS(a *dense.Matrix, tol float64, maxRank int, ws *dense.Workspace) 
 	return NewLowRank(u, v)
 }
 
-// allZero reports whether every entry of a is ±0.
+// allZero reports whether every entry of a is ±0. It ORs the bit
+// patterns shifted left by one, which drops the sign bit, and tests once
+// per row: ±0 leaves no bit, any other value (subnormal, Inf, NaN)
+// leaves one.
 func allZero(a *dense.Matrix) bool {
 	for i := range a.Rows {
-		for _, x := range a.Row(i) {
-			if x != 0 {
-				return false
-			}
+		row := a.Row(i)
+		var or uint64
+		for len(row) >= 8 {
+			or |= math.Float64bits(row[0])<<1 | math.Float64bits(row[1])<<1 |
+				math.Float64bits(row[2])<<1 | math.Float64bits(row[3])<<1 |
+				math.Float64bits(row[4])<<1 | math.Float64bits(row[5])<<1 |
+				math.Float64bits(row[6])<<1 | math.Float64bits(row[7])<<1
+			row = row[8:]
+		}
+		for _, x := range row {
+			or |= math.Float64bits(x) << 1
+		}
+		if or != 0 {
+			return false
 		}
 	}
 	return true

@@ -27,7 +27,8 @@ func TestCompressExactLowRank(t *testing.T) {
 
 // TestCompressZero checks that a block of ±0 entries is a Zero tile of
 // its shape, counted as tlr.compress.zero, while one tiny entry of
-// either sign at tol 0 still keeps rank 1.
+// either sign at tol 0 still keeps rank 1, and neither a subnormal nor a
+// NaN entry is taken for zero.
 func TestCompressZero(t *testing.T) {
 	zeros := obs.Default.Counter("tlr.compress.zero")
 	for _, z := range []float64{0, math.Copysign(0, -1)} {
@@ -51,6 +52,26 @@ func TestCompressZero(t *testing.T) {
 		if tile := Compress(a, 0, 0); tile.Kind != LowRank || tile.Rank() != 1 {
 			t.Fatalf("entry %g: %v rank %d, want LowRank rank 1", v, tile.Kind, tile.Rank())
 		}
+	}
+	// The smallest subnormal and NaN are not zero, anywhere in a row:
+	// the unrolled word scan or its tail. A lone subnormal still goes to
+	// the QRCP, whose rank-0 answer (its squared norm underflows) is
+	// counted like any other.
+	for _, j := range []int{0, 7, 8, 11} {
+		for _, v := range []float64{4.9e-324, -4.9e-324, math.NaN()} {
+			a := dense.NewMatrix(16, 12)
+			a.Set(9, j, v)
+			if allZero(a) {
+				t.Fatalf("entry %g at column %d reported all zero", v, j)
+			}
+		}
+	}
+	nan := dense.NewMatrix(16, 12)
+	for i := range nan.Data {
+		nan.Data[i] = math.NaN()
+	}
+	if tile := Compress(nan, 1e-12, 0); tile.Kind == Zero {
+		t.Fatalf("a NaN block compressed to a Zero tile")
 	}
 }
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
 # check.sh — the repo's single verification gate: build, vet, the
+# portable (purego) build and tests of the assembly-backed kernels, the
 # type-checked static analysis suite (cmd/lint, findings archived as
 # JSON), race-detector tests on the concurrency-critical packages (the
 # task executor and the compression, factorization and planned solve
@@ -48,6 +49,13 @@ go build ./...
 
 echo "== go vet"
 go vet ./...
+
+echo "== portable kernels (purego)"
+# Every assembly kernel in internal/dense has a Go fallback, selected by
+# the purego tag (and on other GOARCHes). Vet and test it here, so the
+# path that hosts without AVX2+FMA run stays built and correct.
+go vet -tags purego ./internal/dense ./internal/tlr
+go test -tags purego ./internal/dense ./internal/tlr
 
 echo "== static analysis suite (cmd/lint)"
 # The tree must be finding-clean under every analyzer; the JSON report
