@@ -35,6 +35,29 @@ func NewMatrix(r, c int) *Matrix {
 	return &Matrix{Rows: r, Cols: c, Stride: c, Data: make([]float64, r*c)}
 }
 
+// zeroSlab backs every ZeroView: 2 MB of zeros, enough for a 512×512
+// block, that nothing ever writes.
+var zeroSlab [1 << 18]float64
+
+// ZeroView returns an r×c matrix of zeros. When it has entries and they
+// fit the shared zero slab, it is a read-only view of that slab: no
+// allocation, no clearing, and a write through it would corrupt every
+// other view, so Clone it before writing. Any other shape gets a fresh
+// NewMatrix. IsZeroView tells the two apart.
+func ZeroView(r, c int) *Matrix {
+	if r <= 0 || c <= 0 || r*c > len(zeroSlab) {
+		return NewMatrix(r, c)
+	}
+	return &Matrix{Rows: r, Cols: c, Stride: c, Data: zeroSlab[: r*c : r*c]}
+}
+
+// IsZeroView reports in O(1) whether m's storage starts at the shared
+// zero slab, as every read-only ZeroView's does. Such a matrix is all
+// zero and must not be written.
+func (m *Matrix) IsZeroView() bool {
+	return cap(m.Data) > 0 && &m.Data[:1][0] == &zeroSlab[0]
+}
+
 // FromSlice wraps data (row-major, length r*c) in a Matrix without copying.
 func FromSlice(r, c int, data []float64) *Matrix {
 	if len(data) != r*c {

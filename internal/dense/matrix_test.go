@@ -155,3 +155,69 @@ func TestRandomLowRankHasRank(t *testing.T) {
 		t.Fatalf("expected rank 3, s[3]=%g", res.S[3])
 	}
 }
+
+// allSignedZero reports whether every entry of m is +0 or −0.
+func allSignedZero(m *Matrix) bool {
+	for i := 0; i < m.Rows; i++ {
+		for _, x := range m.Row(i) {
+			if math.Float64bits(x)<<1 != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestZeroView checks that ZeroView and IsZeroView agree: every
+// non-empty block that fits the shared slab is a zero view of its shape
+// whose capacity ends with it, and a maximal one reads all zeros.
+func TestZeroView(t *testing.T) {
+	for _, sz := range [][2]int{{1, 1}, {16, 12}, {256, 256}, {512, 512}, {1, len(zeroSlab)}} {
+		z := ZeroView(sz[0], sz[1])
+		if !z.IsZeroView() || z.Rows != sz[0] || z.Cols != sz[1] || z.Stride != sz[1] || cap(z.Data) != sz[0]*sz[1] {
+			t.Fatalf("ZeroView(%d, %d): IsZeroView %v, %dx%d stride %d cap %d",
+				sz[0], sz[1], z.IsZeroView(), z.Rows, z.Cols, z.Stride, cap(z.Data))
+		}
+		if !allSignedZero(z) {
+			t.Fatalf("ZeroView(%d, %d) holds a nonzero entry", sz[0], sz[1])
+		}
+		if c := z.Clone(); c.IsZeroView() {
+			t.Fatalf("the Clone of ZeroView(%d, %d) is still a zero view", sz[0], sz[1])
+		}
+	}
+}
+
+// TestZeroViewTooLarge checks that a block larger than the slab (or an
+// empty one) gets a fresh writable matrix, and that writing it leaves
+// the slab alone.
+func TestZeroViewTooLarge(t *testing.T) {
+	for _, sz := range [][2]int{{513, 512}, {1, len(zeroSlab) + 1}, {1024, 1024}, {0, 0}, {0, 7}} {
+		z := ZeroView(sz[0], sz[1])
+		if z.IsZeroView() || z.Rows != sz[0] || z.Cols != sz[1] || !allSignedZero(z) {
+			t.Fatalf("ZeroView(%d, %d): IsZeroView %v, %dx%d", sz[0], sz[1], z.IsZeroView(), z.Rows, z.Cols)
+		}
+		for i := range z.Data {
+			z.Data[i] = 1
+		}
+	}
+	if !allSignedZero(ZeroView(512, 512)) {
+		t.Fatalf("writing an oversized ZeroView changed the shared slab")
+	}
+}
+
+// TestNewMatrixIsNotZeroView checks that freshly allocated matrices,
+// their views and clones are never taken for the read-only slab.
+func TestNewMatrixIsNotZeroView(t *testing.T) {
+	for _, sz := range [][2]int{{0, 0}, {0, 5}, {1, 1}, {16, 12}, {512, 512}} {
+		m := NewMatrix(sz[0], sz[1])
+		if m.IsZeroView() || m.Clone().IsZeroView() {
+			t.Fatalf("NewMatrix(%d, %d) reported as a zero view", sz[0], sz[1])
+		}
+		if sz[0] > 0 && sz[1] > 0 && m.View(0, 0, 1, 1).IsZeroView() {
+			t.Fatalf("a view of NewMatrix(%d, %d) reported as a zero view", sz[0], sz[1])
+		}
+	}
+	if FromSlice(2, 3, make([]float64, 6)).IsZeroView() || Identity(4).IsZeroView() {
+		t.Fatalf("FromSlice or Identity reported as a zero view")
+	}
+}

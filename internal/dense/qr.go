@@ -151,12 +151,7 @@ func QRCPWS(a *Matrix, tol float64, maxRank int, ws *Workspace) QRCPResult {
 	k := 0
 	for ; k < kmax; k++ {
 		// Pivot: bring the column with the largest remaining norm to front.
-		best, bestNorm := k, colNorm2[k]
-		for j := k + 1; j < n; j++ {
-			if colNorm2[j] > bestNorm {
-				best, bestNorm = j, colNorm2[j]
-			}
-		}
+		best, bestNorm := pivot(colNorm2, k)
 		// The running downdate colNorm2[j] -= R[k][j]² cancels badly once
 		// the true residual is tiny; re-verify the chosen pivot exactly and
 		// refresh every norm if it disagrees (LAPACK dgeqp3 strategy).
@@ -164,12 +159,7 @@ func QRCPWS(a *Matrix, tol float64, maxRank int, ws *Workspace) QRCPResult {
 			for j := k; j < n; j++ {
 				colNorm2[j] = exactNorm2(j, k)
 			}
-			best, bestNorm = k, colNorm2[k]
-			for j := k + 1; j < n; j++ {
-				if colNorm2[j] > bestNorm {
-					best, bestNorm = j, colNorm2[j]
-				}
-			}
+			best, bestNorm = pivot(colNorm2, k)
 		}
 		if bestNorm <= tol*tol {
 			break
@@ -199,6 +189,19 @@ func QRCPWS(a *Matrix, tol float64, maxRank int, ws *Workspace) QRCPResult {
 		}
 	}
 	return QRCPResult{Q: formQ(m, rank, vslab, taus, ws), R: r, Perm: perm, Rank: rank}
+}
+
+// pivot returns the position and value of the largest of norms[k:], the
+// first on ties. A NaN norm wins, so a NaN entry reaches the factors
+// instead of stopping the QR at its tolerance test as rank 0.
+func pivot(norms []float64, k int) (best int, bestNorm float64) {
+	best, bestNorm = k, norms[k]
+	for j := k + 1; j < len(norms); j++ {
+		if x := norms[j]; x > bestNorm || x != x && bestNorm == bestNorm {
+			best, bestNorm = j, x
+		}
+	}
+	return best, bestNorm
 }
 
 // UnpermuteColumns returns R·Pᵀ as a dense matrix: column perm[j] of the

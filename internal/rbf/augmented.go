@@ -63,12 +63,18 @@ func (p *Problem) AugmentedDim() int { return p.N() + 4 }
 // order N is a minor of SPD K — the ordering that makes the unpivoted
 // TLR LDLᵀ factorization well defined on this quasi-definite system
 // (the trailing Schur complement −Pᵀ·K⁻¹·P is negative definite
-// whenever the points are not coplanar).
+// whenever the points are not coplanar). A block inside the kernel
+// block is Block's, read-only zero views included.
 func (p *Problem) AugmentedBlock(r0, r1, c0, c1 int) *dense.Matrix {
 	n := p.N()
+	if r1 <= n && c1 <= n {
+		return p.Block(r0, r1, c0, c1)
+	}
 	out := dense.NewMatrix(r1-r0, c1-c0)
 	if kr, kc := min(r1, n)-r0, min(c1, n)-c0; kr > 0 && kc > 0 {
-		p.blockInto(out.View(0, 0, kr, kc), r0, r0+kr, c0, c0+kc)
+		if r2, zero := p.provenZero(r0, r0+kr, c0, c0+kc); !zero {
+			p.blockInto(out.View(0, 0, kr, kc), r0, r0+kr, c0, c0+kc, r2)
+		}
 	}
 	for i := r0; i < min(r1, n); i++ {
 		for j := max(c0, n); j < c1; j++ {

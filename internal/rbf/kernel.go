@@ -114,30 +114,43 @@ func (p *Problem) Entry(i, j int) float64 {
 //
 // What geometry proves null is not evaluated: from zeroRadius on, the
 // kernel is exactly 0.0. A block whose row and column bounding boxes
-// are that far apart is returned zero; elsewhere an entry at squared
-// distance ≥ zeroRadius² stays 0. For finite points every entry is bit
-// for bit Entry(i, j); equal row and column ranges mirror the strict
-// lower triangle.
+// are that far apart is a dense.ZeroView, a read-only view of shared
+// zeros that costs no allocation and that tlr.CompressWS recognises
+// without a scan: Clone it before writing. Elsewhere an entry at
+// squared distance ≥ zeroRadius² stays 0. For finite points every
+// entry is bit for bit Entry(i, j); equal row and column ranges mirror
+// the strict lower triangle.
 func (p *Problem) Block(r0, r1, c0, c1 int) *dense.Matrix {
+	r2, zero := p.provenZero(r0, r1, c0, c1)
+	if zero {
+		return dense.ZeroView(r1-r0, c1-c0)
+	}
 	out := dense.NewMatrix(r1-r0, c1-c0)
-	p.blockInto(out, r0, r1, c0, c1)
+	p.blockInto(out, r0, r1, c0, c1, r2)
 	return out
 }
 
-// blockInto writes K[r0:r1, c0:c1] into dst, which must be zero.
-func (p *Problem) blockInto(dst *dense.Matrix, r0, r1, c0, c1 int) {
-	rows, cols := p.Points[r0:r1], p.Points[c0:c1]
-	if len(rows) == 0 || len(cols) == 0 {
-		return
-	}
-	k, r2 := p.Kernel, zeroRadius(p.Kernel)
+// provenZero returns the squared zero radius (NaN for a kernel without
+// one) and whether the row and column bounding boxes of the non-empty
+// block K[r0:r1, c0:c1] lie that far apart, which it counts as
+// rbf.block.zero.
+func (p *Problem) provenZero(r0, r1, c0, c1 int) (r2 float64, zero bool) {
+	r2 = zeroRadius(p.Kernel)
 	if r2 *= r2; math.IsInf(r2, 1) {
 		r2 = math.NaN() // no radius: no d² compares ≥ NaN
 	}
-	if Bounds(rows).gap2(Bounds(cols)) >= r2 {
+	zero = r0 < r1 && c0 < c1 && Bounds(p.Points[r0:r1]).gap2(Bounds(p.Points[c0:c1])) >= r2
+	if zero {
 		mBlockZero.Add(0, 1)
-		return
 	}
+	return r2, zero
+}
+
+// blockInto writes K[r0:r1, c0:c1] into dst, which must be zero,
+// leaving entries at squared distance ≥ r2 at 0.
+func (p *Problem) blockInto(dst *dense.Matrix, r0, r1, c0, c1 int, r2 float64) {
+	rows, cols := p.Points[r0:r1], p.Points[c0:c1]
+	k := p.Kernel
 	sym := r0 == c0 && r1 == c1
 	evals := 0
 	for i, x := range rows {

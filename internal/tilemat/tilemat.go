@@ -119,7 +119,10 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // Assembler produces the dense sub-block [r0:r1) × [c0:c1) of the
-// underlying operator; rbf.Problem.Block satisfies it.
+// underlying operator; rbf.Problem.Block satisfies it. An off-diagonal
+// block may be a read-only dense.ZeroView, which the builders never
+// write; a diagonal block becomes the factor's storage and must be
+// writable.
 type Assembler func(r0, r1, c0, c1 int) *dense.Matrix
 
 // CompressionStats records what happened during compression; the

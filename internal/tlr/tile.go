@@ -189,10 +189,11 @@ func Compress(a *dense.Matrix, tol float64, maxRank int) *Tile {
 
 // CompressWS is Compress, with the same column-norm stopping rule,
 // drawing its transient storage (the pivoted QR working set) from ws. The returned tile owns its factors and stays
-// valid after ws.Release. An all-zero a (a block the assembler proved
-// null) returns the QR's rank-0 result without running the QR.
+// valid after ws.Release. An all-zero a returns the QR's rank-0 result
+// without running the QR; a dense.ZeroView (a block the assembler proved
+// null) returns it without reading a at all.
 func CompressWS(a *dense.Matrix, tol float64, maxRank int, ws *dense.Workspace) *Tile {
-	if allZero(a) {
+	if a.IsZeroView() || allZero(a) {
 		mCompressZero.Add(ws.Shard(), 1)
 		return NewZero(a.Rows, a.Cols)
 	}

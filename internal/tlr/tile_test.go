@@ -73,6 +73,21 @@ func TestCompressZero(t *testing.T) {
 	if tile := Compress(nan, 1e-12, 0); tile.Kind == Zero {
 		t.Fatalf("a NaN block compressed to a Zero tile")
 	}
+	// One NaN outside the first column must win QRCP's pivot search, or
+	// the QR stops at rank 0 and the NaN vanishes into a Zero tile.
+	one := dense.NewMatrix(16, 12)
+	one.Set(9, 7, math.NaN())
+	if tile := Compress(one, 1e-12, 0); tile.Kind == Zero {
+		t.Fatalf("a block with one NaN at (9,7) compressed to a Zero tile")
+	}
+	// A read-only zero view is a Zero tile without a scan.
+	before := zeros.Value()
+	if tile := Compress(dense.ZeroView(16, 12), 1e-12, 0); tile.Kind != Zero || tile.Rows != 16 || tile.Cols != 12 {
+		t.Fatalf("ZeroView(16, 12) compressed to %v %dx%d, want a 16x12 Zero tile", tile.Kind, tile.Rows, tile.Cols)
+	}
+	if got := zeros.Value() - before; got != 1 {
+		t.Fatalf("tlr.compress.zero advanced by %d for a zero view, want 1", got)
+	}
 }
 
 func TestCompressTinyValuesBelowThreshold(t *testing.T) {
