@@ -12,6 +12,7 @@ package rbf
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"tlrchol/internal/hilbert"
@@ -201,10 +202,21 @@ func MinDistance(pts []Point) float64 {
 		}
 		return c
 	}
-	grid := make(map[[3]int][]int)
+	// The cells as CSR, filled by a counting sort: the points of cell c
+	// are members[start[c]:start[c+1]], in increasing index order.
+	cell := func(c [3]int) int { return (c[0]*cells+c[1])*cells + c[2] }
+	start := make([]int32, cells*cells*cells+1)
+	for _, p := range pts {
+		start[cell(idx(p))+1]++
+	}
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
+	}
+	members, fill := make([]int32, n), slices.Clone(start)
 	for i, p := range pts {
-		c := idx(p)
-		grid[c] = append(grid[c], i)
+		c := cell(idx(p))
+		members[fill[c]] = int32(i)
+		fill[c]++
 	}
 	best := math.Inf(1)
 	for i, p := range pts {
@@ -213,8 +225,12 @@ func MinDistance(pts []Point) float64 {
 			for dy := -1; dy <= 1; dy++ {
 				for dz := -1; dz <= 1; dz++ {
 					nc := [3]int{c[0] + dx, c[1] + dy, c[2] + dz}
-					for _, j := range grid[nc] {
-						if j <= i {
+					if min(nc[0], nc[1], nc[2]) < 0 || max(nc[0], nc[1], nc[2]) >= cells {
+						continue
+					}
+					k := cell(nc)
+					for _, j := range members[start[k]:start[k+1]] {
+						if int(j) <= i {
 							continue
 						}
 						if d := Dist(p, pts[j]); d < best {

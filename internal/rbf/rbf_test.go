@@ -95,6 +95,17 @@ func pathLength(pts []Point) float64 {
 }
 
 func TestMinDistanceMatchesBruteForce(t *testing.T) {
+	bruteForce := func(pts []Point) float64 {
+		want := math.Inf(1)
+		for i := range pts {
+			for j := i + 1; j < len(pts); j++ {
+				if d := Dist(pts[i], pts[j]); d < want {
+					want = d
+				}
+			}
+		}
+		return want
+	}
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 5; trial++ {
 		n := 50 + rng.Intn(200)
@@ -102,17 +113,21 @@ func TestMinDistanceMatchesBruteForce(t *testing.T) {
 		for i := range pts {
 			pts[i] = Point{rng.Float64(), rng.Float64(), rng.Float64()}
 		}
-		want := math.Inf(1)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if d := Dist(pts[i], pts[j]); d < want {
-					want = d
-				}
-			}
-		}
-		got := MinDistance(pts)
-		if math.Abs(got-want) > 1e-12 {
+		if got, want := MinDistance(pts), bruteForce(pts); got != want {
 			t.Fatalf("MinDistance %g want %g (n=%d)", got, want, n)
+		}
+	}
+	// The clustered geometries the service and the benchmark build, bit
+	// for bit.
+	for _, g := range []struct {
+		n    int
+		seed int64
+	}{{2048, 43}, {2048, 44}, {2048, 45}, {2048, 46}, {2048, 47}, {2048, 48}, {4096, 42}} {
+		cfg := DefaultVirusConfig(g.n)
+		cfg.Seed = g.seed
+		pts := VirusPopulation(cfg)[:g.n]
+		if got, want := MinDistance(pts), bruteForce(pts); got != want {
+			t.Fatalf("virus n=%d seed=%d: MinDistance %v want %v", g.n, g.seed, got, want)
 		}
 	}
 }

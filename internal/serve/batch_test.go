@@ -195,7 +195,12 @@ func TestBatcherLeaderCancelPromotion(t *testing.T) {
 		t.Fatalf("want 1 recorded promotion, got %d", got)
 	}
 	// The factor was pinned for the detached execution and released
-	// after it; an unmanaged test factor must be left intact.
+	// after it; an unmanaged test factor must be left intact. The
+	// detached goroutine releases after it has delivered the follower's
+	// result, so the release may land just after wg.Wait returns.
+	for deadline := time.Now().Add(5 * time.Second); f.refs.Load() != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if f.L == nil || f.refs.Load() != 0 {
 		t.Fatalf("factor lifetime mishandled after promotion (refs %d)", f.refs.Load())
 	}

@@ -10,13 +10,16 @@ import (
 
 	"tlrchol/internal/core"
 	"tlrchol/internal/obs"
+	"tlrchol/internal/rbf"
 	"tlrchol/internal/tilemat"
 )
 
 // Factor is a cached factorization: the Cholesky factor itself plus
 // the unfactorized compressed operator, which solves need for residual
 // evaluation and iterative refinement. Both matrices are immutable
-// once the entry is published (solves never write into the factor).
+// once the entry is published (solves never write into the factor),
+// so Op's off-diagonal tiles can be shared with the operators of the
+// same spec's nugget variants (shard.operator).
 //
 // Lifetime is reference-counted: the owning cache holds one reference
 // while the entry is resident, each replica store holds one, and every
@@ -36,10 +39,20 @@ type Factor struct {
 	// solve against this factor runs through it.
 	Plan *core.SolvePlan
 	// SizeBytes charges both matrices and the plan against the cache
-	// budget.
+	// budget. Off-diagonal tiles that Op shares with other factors'
+	// operators are charged to each of them: an upper bound on the
+	// memory the entry keeps alive.
 	SizeBytes int64
 	// FactorStats summarizes the factorization that produced L.
 	FactorStats FactorStats
+
+	// opKey is the spec's operatorKey, prob the KD-ordered problem Op
+	// was assembled from and delta its shape parameter: what a build of
+	// the same spec with another nugget needs to reuse Op's off-diagonal
+	// tiles (shard.operator). Not charged to SizeBytes.
+	opKey string
+	prob  *rbf.Problem
+	delta float64
 
 	// refs counts live references (cache residency + replica stores +
 	// in-flight pins). managed marks cache-owned factors: only those
@@ -89,7 +102,7 @@ func (f *Factor) free() {
 		return
 	}
 	f.freed.Store(true)
-	f.L, f.Op, f.Plan = nil, nil, nil
+	f.L, f.Op, f.Plan, f.prob = nil, nil, nil, nil
 }
 
 // FactorStats is the per-factorization report returned to clients.
@@ -279,6 +292,21 @@ func (c *FactorCache) Lookup(fp string) (*Factor, bool) {
 	c.lru.MoveToFront(e.elem)
 	e.f.Retain()
 	return e.f, true
+}
+
+// lookupOperator returns a resident factor whose operator key is key,
+// most recently used first, pinned for the caller, or nil. It scans
+// every resident entry under the lock; in-flight builds are skipped.
+func (c *FactorCache) lookupOperator(key string) *Factor {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		if f := c.entries[el.Value.(string)].f; f.opKey == key {
+			f.Retain()
+			return f
+		}
+	}
+	return nil
 }
 
 // evictedFactor is one entry dropped by evictLocked, finished (hook +

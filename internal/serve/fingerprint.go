@@ -140,22 +140,25 @@ func (sp ProblemSpec) points() []rbf.Point {
 }
 
 // problem builds the RBF problem for the spec's geometry and kernel,
-// with the points in rbf.NewProblem's KD order.
+// with the points in rbf.NewProblem's KD order, and returns its shape
+// parameter δ.
 func (sp ProblemSpec) problem(pts []rbf.Point) (*rbf.Problem, float64) {
 	delta := sp.DeltaFactor * rbf.DefaultShape(pts)
-	var kernel rbf.Kernel
+	prob, _ := rbf.NewProblem(pts, sp.kernel(delta))
+	return prob, delta
+}
+
+// kernel returns the spec's kernel at shape parameter delta.
+func (sp ProblemSpec) kernel(delta float64) rbf.Kernel {
 	switch sp.Kernel {
 	case "wendland":
-		kernel = rbf.WendlandC2{Delta: 3 * delta, Nugget: sp.Nugget}
+		return rbf.WendlandC2{Delta: 3 * delta, Nugget: sp.Nugget}
 	case "matern32":
-		kernel = rbf.Matern32{Delta: delta, Nugget: sp.Nugget}
+		return rbf.Matern32{Delta: delta, Nugget: sp.Nugget}
 	case "matern52":
-		kernel = rbf.Matern52{Delta: delta, Nugget: sp.Nugget}
-	default:
-		kernel = rbf.Gaussian{Delta: delta, Nugget: sp.Nugget}
+		return rbf.Matern52{Delta: delta, Nugget: sp.Nugget}
 	}
-	prob, _ := rbf.NewProblem(pts, kernel)
-	return prob, delta
+	return rbf.Gaussian{Delta: delta, Nugget: sp.Nugget}
 }
 
 // canonFloat canonicalizes a float for hashing: negative zero compares
@@ -233,4 +236,14 @@ func Fingerprint(sp ProblemSpec, pts []rbf.Point) string {
 		wf(p.Z)
 	}
 	return hex.EncodeToString(h.Sum(nil)[:16])
+}
+
+// operatorKey fingerprints the spec with its nugget neutralized. The
+// nugget enters only the diagonal entries, which the dense diagonal
+// tiles hold, so two specs with one operator key have bit-identical
+// off-diagonal tiles: a factor of one can lend its compressed operator
+// to a build of the other.
+func operatorKey(sp ProblemSpec, pts []rbf.Point) string {
+	sp.Nugget = 0
+	return Fingerprint(sp, pts)
 }

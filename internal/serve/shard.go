@@ -32,7 +32,8 @@ type shard struct {
 	adm      *Admission
 	replicas *replicaStore
 
-	factorRuns                                *obs.Counter
+	// opReuse counts builds that reused a resident factor's operator.
+	factorRuns, opReuse                       *obs.Counter
 	factorLatency, solveLatency, substLatency *obs.Histogram
 	// solveOnly tracks recent substitution-only latencies for the
 	// /v1/stats percentile report and the Retry-After estimator.
@@ -50,6 +51,7 @@ func newShard(id int, cfg Config, reg *obs.Registry) *shard {
 		adm:           NewAdmission(cfg.MaxInflight, reg),
 		replicas:      newReplicaStore(reg),
 		factorRuns:    reg.Counter("serve.factorize.runs"),
+		opReuse:       reg.Counter("serve.factorize.op_reuse"),
 		factorLatency: reg.Histogram("serve.factorize.latency_ms", 10, 100, 1000, 10000, 60000),
 		solveLatency:  reg.Histogram("serve.solve.latency_ms", 1, 5, 10, 50, 100, 1000, 10000),
 		substLatency:  reg.Histogram("serve.solve.subst_ms", 1, 5, 10, 50, 100, 1000, 10000),
@@ -205,19 +207,16 @@ func (sh *shard) buildFactor(rt *obs.ReqTrace, sp ProblemSpec, pts []rbf.Point, 
 	sh.factorRuns.Add(0, 1)
 	start := time.Now()
 
-	compressStart := rt.Now()
-	prob, _ := sp.problem(pts)
-	asm := tilemat.Assembler(prob.Block)
-	if sp.Augmented {
-		asm = prob.AugmentedBlock
-	}
-	m, _, err := tilemat.FromAssemblerParallel(sp.Dim(), sp.Tile, asm, sp.Tol, sp.MaxRank, sh.cfg.Workers)
+	// Hashed in generation order, before sp.problem sorts pts.
+	opKey := operatorKey(sp, pts)
+	op, prob, delta, err := sh.operator(rt, sp, pts, opKey)
 	if err != nil {
-		return nil, fmt.Errorf("compression failed: %w", err)
+		return nil, err
 	}
 	compress := time.Since(start)
-	rt.Span("factor.compress", -1, compressStart, rt.Now()-compressStart, obs.SpanInfo{}, false)
-	op := m.Clone()
+	// Op's tiles may be shared with other factors' operators; the
+	// factorization writes only into this deep copy.
+	m := op.Clone()
 
 	opts := core.Options{
 		Tol:     sp.Tol,
@@ -267,7 +266,48 @@ func (sh *shard) buildFactor(rt *obs.ReqTrace, sp ProblemSpec, pts []rbf.Point, 
 			PlanLevels:    fwdLevels,
 			PlanMaxWidth:  plan.MaxWidth(),
 		},
+		opKey: opKey,
+		prob:  prob,
+		delta: delta,
 	}, nil
+}
+
+// operator returns the spec's compressed operator, the KD-ordered
+// problem it was assembled from and its shape parameter δ. A resident
+// factor with the same operator key (the spec up to its nugget) lends
+// its operator: the off-diagonal tiles are shared, the diagonal tiles
+// are assembled anew at this spec's nugget, and the result is bit for
+// bit what a full build gives. Otherwise the problem is built from pts
+// and every tile assembled and compressed.
+func (sh *shard) operator(rt *obs.ReqTrace, sp ProblemSpec, pts []rbf.Point, opKey string) (*tilemat.Matrix, *rbf.Problem, float64, error) {
+	spanStart := rt.Now()
+	if src := sh.cache.lookupOperator(opKey); src != nil {
+		defer src.Release()
+		prob := &rbf.Problem{Points: src.prob.Points, Kernel: sp.kernel(src.delta)}
+		op, err := tilemat.WithDiagonal(src.Op, sp.assembler(prob), sh.cfg.Workers)
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("diagonal assembly failed: %w", err)
+		}
+		sh.opReuse.Add(0, 1)
+		rt.Span("factor.reuse", -1, spanStart, rt.Now()-spanStart, obs.SpanInfo{}, false)
+		return op, prob, src.delta, nil
+	}
+	prob, delta := sp.problem(pts)
+	op, _, err := tilemat.FromAssemblerParallel(sp.Dim(), sp.Tile, sp.assembler(prob), sp.Tol, sp.MaxRank, sh.cfg.Workers)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("compression failed: %w", err)
+	}
+	rt.Span("factor.compress", -1, spanStart, rt.Now()-spanStart, obs.SpanInfo{}, false)
+	return op, prob, delta, nil
+}
+
+// assembler returns the tile assembler of the spec's operator over
+// prob: the kernel matrix, or the augmented saddle-point system.
+func (sp ProblemSpec) assembler(prob *rbf.Problem) tilemat.Assembler {
+	if sp.Augmented {
+		return prob.AugmentedBlock
+	}
+	return prob.Block
 }
 
 // doSolve runs one solve on this shard. It claims an admission slot

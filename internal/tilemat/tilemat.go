@@ -373,7 +373,40 @@ func DenseTiles(a *dense.Matrix, b int) *Matrix {
 // sequential builder.
 func FromAssemblerParallel(n, b int, asm Assembler, tol float64, maxRank, workers int) (*Matrix, CompressionStats, error) {
 	m := grid(n, b)
-	jobs := buildJobs(m.NT)
+	st, err := m.buildAll(buildJobs(m.NT), asm, tol, maxRank, workers)
+	if err != nil {
+		return nil, st, err
+	}
+	return m, st, nil
+}
+
+// WithDiagonal returns a matrix that shares every off-diagonal tile of
+// src and owns fresh diagonal tiles assembled from asm on the worker
+// pool, as FromAssemblerParallel assembles them. When asm differs from
+// src's assembler only on the diagonal tiles (a new nugget), the result
+// is bit for bit the operator a full build from asm would give, at the
+// cost of the diagonal alone. The shared tiles must stay read-only:
+// Clone the result before factorizing it.
+func WithDiagonal(src *Matrix, asm Assembler, workers int) (*Matrix, error) {
+	m := grid(src.N, src.B)
+	m.Form = src.Form
+	var jobs []buildJob
+	for _, jb := range buildJobs(m.NT) {
+		if jb.i == jb.j {
+			jobs = append(jobs, jb)
+		} else {
+			m.tiles[jb.i][jb.j] = src.tiles[jb.i][jb.j]
+		}
+	}
+	if _, err := m.buildAll(jobs, asm, 0, 0, workers); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// buildAll runs m.build for every job as an independent task on the
+// runtime's worker pool and sums their stats.
+func (m *Matrix) buildAll(jobs []buildJob, asm Assembler, tol float64, maxRank, workers int) (CompressionStats, error) {
 	g := &runtime.Graph{LabelFunc: func(id int) string { return jobs[id].String() }}
 	for range jobs {
 		g.Add(0)
@@ -387,8 +420,5 @@ func FromAssemblerParallel(n, b int, asm Assembler, tol float64, maxRank, worker
 		mu.Unlock()
 		return nil
 	})
-	if err != nil {
-		return nil, st, err
-	}
-	return m, st, nil
+	return st, err
 }

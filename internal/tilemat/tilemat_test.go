@@ -1,6 +1,7 @@
 package tilemat
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -195,5 +196,74 @@ func TestFromAssemblerParallelMatchesSequential(t *testing.T) {
 	if stSeq.ZeroTiles != stPar.ZeroTiles || stSeq.LowRankTiles != stPar.LowRankTiles ||
 		stSeq.DenseBytes != stPar.DenseBytes || stSeq.CompressedBytes != stPar.CompressedBytes {
 		t.Fatalf("stats differ: %+v vs %+v", stSeq, stPar)
+	}
+}
+
+// sameBits reports whether two tiles have the same kind, shape and
+// float64 bits.
+func sameBits(a, b *tlr.Tile) bool {
+	if a.Kind != b.Kind || a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	same := func(x, y *dense.Matrix) bool {
+		if x == nil || y == nil {
+			return x == y
+		}
+		if x.Rows != y.Rows || x.Cols != y.Cols {
+			return false
+		}
+		for i := 0; i < x.Rows; i++ {
+			for j := 0; j < x.Cols; j++ {
+				if math.Float64bits(x.At(i, j)) != math.Float64bits(y.At(i, j)) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	return same(a.D, b.D) && same(a.U, b.U) && same(a.V, b.V)
+}
+
+// TestWithDiagonalMatchesFreshBuild: a new nugget changes only the
+// diagonal tiles, so sharing a compressed operator's off-diagonal tiles
+// and assembling the diagonal anew must give the full build's operator
+// bit for bit, on a grid whose last tile is short. The source keeps its
+// own diagonal.
+func TestWithDiagonalMatchesFreshBuild(t *testing.T) {
+	const n, b = 500, 64
+	pts := rbf.VirusPopulation(rbf.DefaultVirusConfig(n))[:n]
+	srcProb, _ := rbf.NewProblem(pts, rbf.Gaussian{Delta: 0.02, Nugget: 1e-4})
+	wantProb := &rbf.Problem{Points: srcProb.Points, Kernel: rbf.Gaussian{Delta: 0.02, Nugget: 3e-4}}
+	src, _, err := FromAssemblerParallel(n, b, srcProb.Block, 1e-6, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := FromAssemblerParallel(n, b, wantProb.Block, 1e-6, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcDiag := src.At(0, 0).D.At(0, 0)
+	got, err := WithDiagonal(src, wantProb.Block, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.N != n || got.B != b || got.NT != want.NT || got.Form != src.Form {
+		t.Fatalf("layout %d/%d/%d/%v, want %d/%d/%d/%v", got.N, got.B, got.NT, got.Form, n, b, want.NT, src.Form)
+	}
+	for i := 0; i < got.NT; i++ {
+		for j := 0; j <= i; j++ {
+			if !sameBits(got.At(i, j), want.At(i, j)) {
+				t.Fatalf("tile (%d,%d) differs from the fresh build", i, j)
+			}
+			if shared := got.At(i, j) == src.At(i, j); shared != (i != j) {
+				t.Fatalf("tile (%d,%d): shared with the source = %v", i, j, shared)
+			}
+		}
+	}
+	if d := src.At(0, 0).D.At(0, 0); d != srcDiag || d != 1+1e-4 {
+		t.Fatalf("source diagonal entry %g, want %g", d, 1+1e-4)
+	}
+	if got.Bytes() != want.Bytes() {
+		t.Fatalf("Bytes %d, want %d", got.Bytes(), want.Bytes())
 	}
 }

@@ -134,8 +134,9 @@ go test -race -run 'TestSolvePlannedBitwise|TestSolvePlannedCancel|TestSolvePlan
 echo "== solve service smoke gate"
 # A real tlrserve on a random port must: factorize once for 8
 # concurrent solves against the same problem (single-flight dedup,
-# asserted from /metrics), answer /v1/stats, and drain cleanly on
-# SIGTERM.
+# asserted from /metrics), build a nugget variant of that problem on
+# the resident factor's compressed operator, answer /v1/stats, and
+# drain cleanly on SIGTERM.
 serve_log="$(mktemp /tmp/tlrserve-log.XXXXXX)"
 tmp_files+=("$serve_log" /tmp/tlrserve-check)
 go build -o /tmp/tlrserve-check ./cmd/tlrserve
@@ -166,6 +167,17 @@ runs="$(curl -sf --max-time 60 "$base/metrics" | awk '$1 == "serve.factorize.run
 plans="$(curl -sf --max-time 60 "$base/metrics" | awk '$1 == "solve.plan.build" {print $2}')"
 [ -n "$plans" ] && [ "$plans" -ge 1 ] || {
     echo "check.sh: expected >=1 solve plan build, got '$plans'" >&2; exit 1; }
+# The same problem with another nugget differs only on the diagonal: its
+# build must reuse the resident factor's compressed operator, one more
+# factorization and one operator reuse.
+bg curl -sf --max-time 60 -o /dev/null -X POST \
+    -d '{"problem":{"n":512,"tile":64,"tol":1e-7,"nugget":2e-5}}' "$base/v1/factorize"
+reap "$!" || { echo "check.sh: nugget-variant factorize request failed" >&2; exit 1; }
+metrics="$(curl -sf --max-time 60 "$base/metrics")"
+runs="$(echo "$metrics" | awk '$1 == "serve.factorize.runs" {print $2}')"
+reuse="$(echo "$metrics" | awk '$1 == "serve.factorize.op_reuse" {print $2}')"
+[ "$runs" = "2" ] && [ "$reuse" = "1" ] || {
+    echo "check.sh: nugget variant: expected 2 factorizations and 1 operator reuse, got runs='$runs' op_reuse='$reuse'" >&2; exit 1; }
 # A single server is a one-shard service: its /v1/stats is the same body
 # as a fleet's, with the per-shard rows and the single-flight rollup.
 # Bodies are captured before grep reads them: under pipefail, grep -q
