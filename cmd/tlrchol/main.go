@@ -60,7 +60,6 @@ func main() {
 	verify := flag.Bool("verify", true, "verify the factor against the dense operator (costs O(n^3) memory/time)")
 	check := flag.Bool("check", false, "statically verify the trimming analysis and task graph before executing (package verify)")
 	showTrace := flag.Bool("trace", false, "print a per-class time breakdown and an ASCII Gantt chart")
-	nested := flag.Int("nested", 0, "nested-parallel diagonal POTRF sub-tile size (0 = off)")
 	kernelName := flag.String("kernel", "gaussian", "RBF kernel: gaussian (global support) or wendland (compact support)")
 	traceOut := flag.String("trace-out", "", "write a Chrome/Perfetto trace-event JSON file of the execution")
 	showMetrics := flag.Bool("metrics", false, "print the metrics registry (counters, gauges, histograms) after the run")
@@ -91,9 +90,6 @@ func main() {
 	if *workers < 0 {
 		fail("-workers must be ≥ 0 (0 = GOMAXPROCS), got %d", *workers)
 	}
-	if *nested < 0 {
-		fail("-nested must be ≥ 0 (0 = off), got %d", *nested)
-	}
 	if *nodes < 0 {
 		fail("-nodes must be ≥ 0 (0 = shared memory), got %d", *nodes)
 	}
@@ -109,9 +105,6 @@ func main() {
 	if *augmented && !ldlt {
 		fail("-augmented builds an indefinite saddle-point system; it requires -factor ldlt")
 	}
-	if ldlt && *nested > 0 {
-		fail("-nested is not supported with -factor ldlt")
-	}
 	if ldlt && *nodes > 0 {
 		fail("-factor ldlt is not supported under -nodes (distributed execution factors Cholesky only)")
 	}
@@ -121,9 +114,6 @@ func main() {
 		}
 		if *seq {
 			fail("-nodes and -sequential are mutually exclusive")
-		}
-		if *nested > 0 {
-			fail("-nested is not supported under -nodes (diagonal tiles are single tasks per node)")
 		}
 	}
 
@@ -195,7 +185,7 @@ func main() {
 		if ldlt {
 			form = tilemat.FormLDLt
 		}
-		g, _ := core.BuildGraph(m, s, core.Options{Tol: *tol, NestedDiag: *nested}, form)
+		g, _ := core.BuildGraph(m, s, core.Options{Tol: *tol}, form)
 		fs = append(fs, sverify.CheckGraph(g)...)
 		for _, f := range fs {
 			fmt.Fprintf(os.Stderr, "static check: %v\n", f)
@@ -270,8 +260,8 @@ func main() {
 	} else {
 		opts := core.Options{
 			Tol: *tol, Trim: *trim, Workers: *workers, Sequential: *seq,
-			NestedDiag: *nested, CollectTrace: *showTrace && !*seq,
-			Tracer: tr, CritPath: (*showTrace || *traceOut != "") && !*seq,
+			CollectTrace: *showTrace && !*seq, Tracer: tr,
+			CritPath: (*showTrace || *traceOut != "") && !*seq,
 		}
 		diagClass := "potrf"
 		if ldlt {

@@ -103,14 +103,8 @@ func main() {
 	// behind the fingerprint router.
 	newHandler := func() (http.Handler, string) {
 		if *shards > 0 {
-			s := serve.NewFleet(serve.FleetConfig{
-				Shards:        *shards,
-				Replicas:      *replicas,
-				PromoteAfter:  *promoteAfter,
-				PromoteWindow: *promoteWindow,
-				Shard:         cfg,
-			})
-			return s.Handler(), fmt.Sprintf("fleet of %d shards (%d replicas per hot factor)", *shards, *replicas)
+			s := serve.NewFleet(fleetConfig(*shards, *replicas, *promoteAfter, *promoteWindow, cfg))
+			return s.Handler(), fmt.Sprintf("fleet of %d shards (%d replicas per hot factor)", *shards, max(*replicas, 0))
 		}
 		return serve.New(cfg).Handler(), "single server"
 	}
@@ -123,6 +117,22 @@ func main() {
 		}))
 	}
 	os.Exit(runServer(newHandler, *addr, *drainTimeout))
+}
+
+// fleetConfig maps the fleet flags to a serve.FleetConfig. A -replicas
+// value ≤ 0 disables replication, which FleetConfig spells as a
+// negative Replicas: its zero value takes the default of 1.
+func fleetConfig(shards, replicas, promoteAfter int, promoteWindow time.Duration, shard serve.Config) serve.FleetConfig {
+	if replicas <= 0 {
+		replicas = -1
+	}
+	return serve.FleetConfig{
+		Shards:        shards,
+		Replicas:      replicas,
+		PromoteAfter:  promoteAfter,
+		PromoteWindow: promoteWindow,
+		Shard:         shard,
+	}
 }
 
 func runServer(newHandler func() (http.Handler, string), addr string, drainTimeout time.Duration) int {

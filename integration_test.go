@@ -22,7 +22,7 @@ import (
 )
 
 // TestFullPipeline runs geometry → parallel tile assembly and
-// compression → trimmed nested-parallel factorization → iterative
+// compression → trimmed parallel factorization → iterative
 // refinement → RBF interpolation, checking accuracy at every stage.
 func TestFullPipeline(t *testing.T) {
 	const (
@@ -47,15 +47,16 @@ func TestFullPipeline(t *testing.T) {
 		t.Fatalf("compression saved no memory: %d >= %d", st.CompressedBytes, st.DenseBytes)
 	}
 
-	// 3. Trimmed, nested-parallel factorization with tracing.
+	// 3. Trimmed parallel factorization with tracing: one executed task
+	// and one trace record per walk task.
 	rep, err := core.Factorize(m, core.Options{
-		Tol: tol, Trim: true, Workers: 2, NestedDiag: 64, CollectTrace: true,
+		Tol: tol, Trim: true, Workers: 2, CollectTrace: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Trace) == 0 {
-		t.Fatalf("trace not collected")
+	if walk := rep.Potrf + rep.Trsm + rep.Syrk + rep.Gemm; rep.TasksExecuted != walk || len(rep.Trace) != walk {
+		t.Fatalf("%d walk tasks, %d executed, %d traced", walk, rep.TasksExecuted, len(rep.Trace))
 	}
 	sum := trace.Analyze(rep.Trace)
 	if sum.Makespan <= 0 || len(sum.Classes) < 3 {
@@ -193,8 +194,8 @@ func TestObsSmoke(t *testing.T) {
 		t.Fatalf("exported %d spans, traced %d", tc.Spans, spans)
 	}
 
-	// Per-class task counters agree with the report (fresh registry, no
-	// nested POTRF, so counts match the created task instances exactly).
+	// Per-class task counters agree with the report (fresh registry, so
+	// counts match the created task instances exactly).
 	counts := map[string]int{}
 	for _, c := range reg.Snapshot().Counters {
 		counts[c.Name] = int(c.Value)

@@ -41,13 +41,6 @@ type Options struct {
 	// Sequential bypasses the runtime and factorizes in walk order
 	// (reference implementation used for verification).
 	Sequential bool
-	// NestedDiag enables nested parallelism: diagonal-tile POTRFs are
-	// decomposed into sub-tile task DAGs of this block size (0 keeps
-	// them as single tasks). The diagonal tiles carry most of the
-	// critical-path flops, so this is the optimization that keeps cores
-	// busy through the sequential panel chain (Section VII, inherited
-	// from Lorapo).
-	NestedDiag int
 	// CollectTrace records per-task execution records in Report.Trace
 	// (parallel path only).
 	CollectTrace bool
@@ -108,8 +101,7 @@ type Report struct {
 	// Trace holds per-task execution records when Options.CollectTrace
 	// was set.
 	Trace []runtime.TaskRecord
-	// TasksExecuted counts the tasks that ran (including nested-POTRF
-	// sub-tasks on the parallel path).
+	// TasksExecuted counts the tasks that ran.
 	TasksExecuted int
 	// Metrics is the registry this run recorded into (Options.Metrics,
 	// or obs.Default when that was nil).
@@ -177,9 +169,6 @@ func FactorizeLDLt(m *tilemat.Matrix, opts Options) (Report, error) {
 func factorizeShared(m *tilemat.Matrix, opts Options, form tilemat.Form) (Report, error) {
 	if opts.Tol <= 0 {
 		return Report{}, fmt.Errorf("core: Options.Tol must be positive, got %g", opts.Tol)
-	}
-	if form == tilemat.FormLDLt && opts.NestedDiag > 0 {
-		return Report{}, fmt.Errorf("core: NestedDiag is not supported with LDLt")
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = obs.Default
@@ -272,70 +261,46 @@ func sequential(ctx context.Context, m *tilemat.Matrix, s trim.Structure, f fact
 }
 
 // BuildGraph unrolls the factorization of the given form into the task
-// runtime without running it: one task per walk task, wired to the
-// walk's predecessors, at its critical-path-first priority, and the
-// Exec that runs them on m. With NestedDiag > 0 a Cholesky diagonal
-// tile of at least twice that size becomes a nested sub-DAG
-// (addNestedPotrf) instead of one task. Besides the wired edges every
-// task declares its tile accesses, so the static verifier (package
-// verify) can independently replay the access stream and prove the
-// edges cover every RAW/WAR/WAW hazard.
+// runtime without running it: one task per walk task, with graph id
+// equal to walk index, wired to the walk's predecessors, at its
+// critical-path-first priority, and the Exec that runs them on m.
+// Besides the wired edges every task declares its tile accesses, so the
+// static verifier (package verify) can independently replay the access
+// stream and prove the edges cover every RAW/WAR/WAW hazard.
 func BuildGraph(m *tilemat.Matrix, s trim.Structure, opts Options, form tilemat.Form) (*runtime.Graph, runtime.Exec) {
-	g, nodes, f := buildGraph(m, s, opts, form)
+	g, tasks, f := buildGraph(s, opts, form)
 	return g, func(id, worker int, _ *dense.Workspace) error {
-		switch nd := &nodes[id]; nd.kind {
-		case subTask:
-			return nd.runNested(m.At(nd.t.K, nd.t.K).D, opts.NestedDiag)
-		case walkTask:
-			return f.run(nd.t, m, worker, g.TaskInfo(id))
-		}
-		return nil // a nested POTRF's join
+		return f.run(tasks[id], m, worker, g.TaskInfo(id))
 	}
 }
 
-// buildGraph is BuildGraph without the Exec: the graph, its nodes by
-// id and the factorization their bodies run. FactorizeDistributed runs
-// the same graph on the virtual cluster.
-func buildGraph(m *tilemat.Matrix, s trim.Structure, opts Options, form tilemat.Form) (*runtime.Graph, []node, factorization) {
+// buildGraph is BuildGraph without the Exec: the graph, its walk tasks
+// by id and the factorization their bodies run. FactorizeDistributed
+// runs the same graph on the virtual cluster.
+func buildGraph(s trim.Structure, opts Options, form tilemat.Form) (*runtime.Graph, []trim.Task, factorization) {
 	g := &runtime.Graph{}
 	g.Observe(opts.Tracer)
 	f := newFactorization(form, opts.Tol, opts.MaxRank, opts.Metrics)
-	var nodes []node
-	var ids []int32 // walk index → graph id (a nested POTRF's join)
+	var tasks []trim.Task
 	trim.Walk(s, func(t trim.Task) {
-		if t.Class == trim.Diag && form == tilemat.FormCholesky && opts.NestedDiag > 0 && m.TileRows(t.K) >= 2*opts.NestedDiag {
-			pred := int32(-1)
-			if p := t.Preds[0]; p >= 0 {
-				pred = ids[p]
-			}
-			ids = append(ids, addNestedPotrf(g, &nodes, t, m.TileRows(t.K), opts.NestedDiag, pred))
-			// The sub-tasks carry their own spans; the tile-level flop
-			// accounting is recorded here, statically — a dense POTRF's
-			// cost does not depend on runtime state.
-			f.in.diag(f.class[trim.Diag], 0, m.TileRows(t.K), nil)
-			return
-		}
 		id := g.Add(t.Prio)
-		nodes = append(nodes, node{t: t})
+		tasks = append(tasks, t)
 		for _, p := range t.Preds {
 			if p >= 0 {
-				g.Dep(ids[p], id)
+				g.Dep(p, id)
 			}
 		}
-		ids = append(ids, id)
 	})
 	// Span annotations, pre-filled with the tile coordinates, exist only
 	// when a tracer observes the run: the untraced graph keeps Info nil
 	// and allocation-free, on the runtime and on the virtual cluster.
 	if opts.Tracer != nil {
-		g.Info = make([]*obs.SpanInfo, len(nodes))
-		for id, nd := range nodes {
-			if nd.kind == walkTask {
-				g.Info[id] = &obs.SpanInfo{K: int32(nd.t.K), M: int32(nd.t.M), N: int32(nd.t.N)}
-			}
+		g.Info = make([]*obs.SpanInfo, len(tasks))
+		for id, t := range tasks {
+			g.Info[id] = &obs.SpanInfo{K: int32(t.K), M: int32(t.M), N: int32(t.N)}
 		}
 	}
-	g.LabelFunc = func(id int) string { return nodes[id].label(f) }
-	g.AccessFunc = func(id int) []runtime.Access { return nodes[id].accesses(f) }
-	return g, nodes, f
+	g.LabelFunc = func(id int) string { return f.label(tasks[id]) }
+	g.AccessFunc = func(id int) []runtime.Access { return f.accesses(tasks[id]) }
+	return g, tasks, f
 }

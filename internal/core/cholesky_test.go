@@ -243,41 +243,6 @@ func TestFinalDensityReported(t *testing.T) {
 	}
 }
 
-func TestNestedDiagMatchesPlain(t *testing.T) {
-	// Nested-parallel diagonal POTRF must produce the same factor as the
-	// single-task version; only the task decomposition changes.
-	mPlain, a := rbfMatrix(t, 512, 128, 4, 1e-8)
-	mNested := mPlain.Clone()
-	repP, err := Factorize(mPlain, Options{Tol: 1e-8, Trim: true, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	repN, err := Factorize(mNested, Options{Tol: 1e-8, Trim: true, Workers: 2, NestedDiag: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eP, eN := FactorError(mPlain, a), FactorError(mNested, a)
-	if eN > 10*eP+1e-7 {
-		t.Fatalf("nested factor error %g vs plain %g", eN, eP)
-	}
-	// Nested mode must have executed more (finer) tasks.
-	if repN.Runtime.Executed <= repP.Runtime.Executed {
-		t.Fatalf("nested parallelism should create sub-tasks: %d vs %d",
-			repN.Runtime.Executed, repP.Runtime.Executed)
-	}
-}
-
-func TestNestedDiagUnevenTile(t *testing.T) {
-	// Block size that does not divide the tile exercises edge sub-tiles.
-	mN, a := rbfMatrix(t, 300, 100, 4, 1e-9)
-	if _, err := Factorize(mN, Options{Tol: 1e-9, Trim: true, Workers: 3, NestedDiag: 48}); err != nil {
-		t.Fatal(err)
-	}
-	if e := FactorError(mN, a); e > 1e-6 {
-		t.Fatalf("uneven nested factor error %g", e)
-	}
-}
-
 func TestDenseBaselineFactorization(t *testing.T) {
 	// The ScaLAPACK-style all-dense tile layout must factor exactly
 	// through the kernels' dense paths, and TLR at a tight tolerance

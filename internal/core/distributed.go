@@ -49,21 +49,21 @@ type DistReport struct {
 // (possibly trimmed) walk executes at the Remap's executing ranks with
 // tiles moving only as messages, and the factor is gathered back into
 // m. The result is tile-for-tile identical to the shared-memory
-// Factorize: the graph is the one BuildGraph builds (without nested
-// POTRFs) and the task bodies are the same, so every tile's write chain
-// is serialized in the same order on a single node, and the kernels are
-// deterministic. Task bodies read and write through the executing
-// node's private store (cluster.Ctx) instead of the shared tilemat.
+// Factorize: the graph is the one BuildGraph builds and the task bodies
+// are the same, so every tile's write chain is serialized in the same
+// order on a single node, and the kernels are deterministic. Task
+// bodies read and write through the executing node's private store
+// (cluster.Ctx) instead of the shared tilemat.
 func FactorizeDistributed(m *tilemat.Matrix, opts DistOptions) (DistReport, error) {
 	var rep DistReport
 	if opts.Tol <= 0 {
 		return rep, fmt.Errorf("core: DistOptions.Tol must be positive, got %g", opts.Tol)
 	}
 	sum, err := factorize(nil, m, tilemat.FormCholesky, opts.Trim, opts.Metrics, func(s trim.Structure) error {
-		g, nodes, f := buildGraph(m, s, Options{Tol: opts.Tol, MaxRank: opts.MaxRank, Tracer: opts.Tracer, Metrics: opts.Metrics},
+		g, tasks, f := buildGraph(s, Options{Tol: opts.Tol, MaxRank: opts.MaxRank, Tracer: opts.Tracer, Metrics: opts.Metrics},
 			tilemat.FormCholesky)
-		writes := func(id int) cluster.TileID { return cluster.TileID{M: nodes[id].t.M, N: nodes[id].t.N} }
-		exec := func(id int, c *cluster.Ctx) error { return f.run(nodes[id].t, c, c.Shard(), g.TaskInfo(id)) }
+		writes := func(id int) cluster.TileID { return cluster.TileID{M: tasks[id].M, N: tasks[id].N} }
+		exec := func(id int, c *cluster.Ctx) error { return f.run(tasks[id], c, c.Shard(), g.TaskInfo(id)) }
 		seed := make(map[cluster.TileID]*tlr.Tile, m.NT*(m.NT+1)/2)
 		for i := 0; i < m.NT; i++ {
 			for j := 0; j <= i; j++ {

@@ -26,20 +26,18 @@ func TestBuildGraphDumpUnchanged(t *testing.T) {
 	const tol = 1e-6
 	m, _ := rbfMatrix(t, 640, 64, 2, tol)
 	for _, tc := range []struct {
-		name   string
-		form   tilemat.Form
-		trim   bool
-		nested int
-		tasks  int
-		hash   string
+		name  string
+		form  tilemat.Form
+		trim  bool
+		tasks int
+		hash  string
 	}{
-		{"cholesky-trim", tilemat.FormCholesky, true, 0, 61, "262799925881742c9ed705775a9676536b3245b67a2ac3161e1c5016a8c5a8a9"},
-		{"cholesky-full", tilemat.FormCholesky, false, 0, 220, "e90372f3daada3750785e6cdb7ea0f0ec7a8ab1e2278bd2942bcf3382f8bb233"},
-		{"ldlt-trim", tilemat.FormLDLt, true, 0, 61, "7c349ff7804ede6f75f3c4c9950820b73a1fb2306def03c96c1ceba3317d108d"},
-		{"ldlt-full", tilemat.FormLDLt, false, 0, 220, "0227aa930df2dce505c53cb3ade4811702cbbce40212a726430f88c40f7aa917"},
-		{"cholesky-nested16", tilemat.FormCholesky, true, 16, 261, "32cb135181362644250ec37090ff0bb9cfc22106403b4624476a841d3670672a"},
+		{"cholesky-trim", tilemat.FormCholesky, true, 61, "262799925881742c9ed705775a9676536b3245b67a2ac3161e1c5016a8c5a8a9"},
+		{"cholesky-full", tilemat.FormCholesky, false, 220, "e90372f3daada3750785e6cdb7ea0f0ec7a8ab1e2278bd2942bcf3382f8bb233"},
+		{"ldlt-trim", tilemat.FormLDLt, true, 61, "7c349ff7804ede6f75f3c4c9950820b73a1fb2306def03c96c1ceba3317d108d"},
+		{"ldlt-full", tilemat.FormLDLt, false, 220, "0227aa930df2dce505c53cb3ade4811702cbbce40212a726430f88c40f7aa917"},
 	} {
-		g, _ := BuildGraph(m, Structure(m, tc.trim), Options{Tol: tol, NestedDiag: tc.nested}, tc.form)
+		g, _ := BuildGraph(m, Structure(m, tc.trim), Options{Tol: tol}, tc.form)
 		var sb strings.Builder
 		for id := 0; id < g.Tasks(); id++ {
 			var succ []int

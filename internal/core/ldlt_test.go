@@ -214,12 +214,3 @@ func TestSolvePlanFormMismatch(t *testing.T) {
 	rhs := dense.NewMatrix(m.N, 1)
 	_ = p.SolveCtx(context.Background(), m, rhs, 2)
 }
-
-// TestLDLtRejectsNestedDiag: the nested-dissection diagonal refinement
-// is a Cholesky-only feature; the signed path must say so.
-func TestLDLtRejectsNestedDiag(t *testing.T) {
-	m, _ := rbfMatrix(t, 128, 64, 4, 1e-6)
-	if _, err := FactorizeLDLt(m, Options{Tol: 1e-6, NestedDiag: 32}); err == nil {
-		t.Fatal("NestedDiag accepted under LDLt")
-	}
-}

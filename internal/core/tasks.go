@@ -110,21 +110,21 @@ func (f factorization) label(t trim.Task) string {
 	return fmt.Sprintf("gemm(%d,%d,%d)", t.K, t.M, t.N)
 }
 
-// accesses declares the tiles walk task t reads and writes, named by
-// key, for the hazard replay of package verify.
-func (f factorization) accesses(t trim.Task, key func(m, n int) any) []runtime.Access {
+// accesses declares the tiles walk task t reads and writes, for the
+// hazard replay of package verify.
+func (f factorization) accesses(t trim.Task) []runtime.Access {
 	var acc []runtime.Access
 	switch t.Class {
 	case trim.Panel:
-		acc = append(acc, runtime.R(key(t.K, t.K)))
+		acc = append(acc, runtime.R(tileKey{t.K, t.K}))
 	case trim.DiagUpdate, trim.Update:
-		acc = append(acc, runtime.R(key(t.M, t.K)))
+		acc = append(acc, runtime.R(tileKey{t.M, t.K}))
 		if t.Class == trim.Update {
-			acc = append(acc, runtime.R(key(t.N, t.K)))
+			acc = append(acc, runtime.R(tileKey{t.N, t.K}))
 		}
 		if f.readsDiag {
-			acc = append(acc, runtime.R(key(t.K, t.K)))
+			acc = append(acc, runtime.R(tileKey{t.K, t.K}))
 		}
 	}
-	return append(acc, runtime.W(key(t.M, t.N)))
+	return append(acc, runtime.W(tileKey{t.M, t.N}))
 }

@@ -111,7 +111,8 @@ type FleetConfig struct {
 	// Shards is the shard count (default 3).
 	Shards int
 	// Replicas is how many extra shards a hot factor is copied to
-	// (default 1, clamped to Shards-1; 0 disables replication).
+	// (default 1, clamped to Shards-1; a negative value disables
+	// replication).
 	Replicas int
 	// PromoteAfter is the solve count within PromoteWindow that marks a
 	// fingerprint hot (default 8).

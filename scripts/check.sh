@@ -101,8 +101,9 @@ go test ./...
 echo "== observability smoke gate"
 # The tracing-off hot path must stay allocation-free, a parallel
 # factorization must allocate at most 1.5x the sequential one (the task
-# executor costs nothing per task), and a traced run must export a
-# valid Chrome trace covering every executed task.
+# executor costs nothing per task), a traced run must export a valid
+# Chrome trace covering every executed task, and the CLI's static check
+# must pass.
 go test -run 'TestDisabledHotPathZeroAlloc' ./internal/obs
 go test -run 'TestFactorizeAllocs' ./internal/core
 go test -run 'TestObsSmoke' .
@@ -111,6 +112,12 @@ tmp_files+=("$obs_trace")
 go run ./cmd/tlrchol -n 1024 -b 128 -verify=false -trace-out "$obs_trace" > /dev/null
 grep -q '"traceEvents"' "$obs_trace" || {
     echo "check.sh: trace-out produced no traceEvents" >&2; exit 1; }
+# The static verifier's CLI path: tlrchol -check must prove the trimmed
+# structure sound and the factorization graph acyclic and
+# hazard-complete before it executes.
+check_out="$(go run ./cmd/tlrchol -n 1024 -b 128 -verify=false -check)"
+echo "$check_out" | grep -q 'static verification: trim sound, graph acyclic and hazard-complete' || {
+    echo "check.sh: tlrchol -check did not report a verified trim and graph" >&2; echo "$check_out" >&2; exit 1; }
 
 echo "== distributed execution gate"
 # The virtual cluster must reproduce the shared-memory factor bit for
