@@ -2,13 +2,13 @@
 // that factorizes kernel operators on demand, caches the factors by
 // problem fingerprint, coalesces concurrent solves into blocked
 // multi-RHS substitutions and sheds load with 429s when full. With
-// -shards N the one front end routes over N shards by fingerprint, with
-// service-wide single-flight and hot-factor replication. With -loadgen
-// it instead drives such a server (its own in-process one by default)
+// -shards N the one front end routes each problem fingerprint to one
+// of N shards, with service-wide single-flight. With -loadgen it
+// instead drives such a server (its own in-process one by default)
 // with an open-loop request stream — optionally multi-tenant, with
 // Zipf-distributed problem popularity and mixed factorize/solve
 // arrivals — and reports latency percentiles, per-shard load skew and
-// cache/replication effectiveness.
+// cache effectiveness.
 package main
 
 import (
@@ -51,10 +51,7 @@ func main() {
 	flightSlow := flag.Int("flight-slow", 0, "slowest traces retained per endpoint (0 = default 32)")
 	accessLog := flag.String("access-log", "", "structured JSON access log: file path, or - for stdout (empty disables)")
 
-	shards := flag.Int("shards", 0, "run a fleet of N shards behind a fingerprint router (0 = single server)")
-	replicas := flag.Int("replicas", 1, "fleet: replicas per hot factor (0 disables replication)")
-	promoteAfter := flag.Int("promote-after", 8, "fleet: solves within the promote window that mark a factor hot")
-	promoteWindow := flag.Duration("promote-window", 10*time.Second, "fleet: popularity decay window")
+	shards := flag.Int("shards", 0, "run a fleet of N shards behind a router that sends each problem to one owner shard (0 = single server)")
 
 	loadgen := flag.Bool("loadgen", false, "drive a server instead of being one")
 	target := flag.String("target", "", "loadgen: base URL of the server (empty = start one in-process)")
@@ -103,8 +100,8 @@ func main() {
 	// behind the fingerprint router.
 	newHandler := func() (http.Handler, string) {
 		if *shards > 0 {
-			s := serve.NewFleet(fleetConfig(*shards, *replicas, *promoteAfter, *promoteWindow, cfg))
-			return s.Handler(), fmt.Sprintf("fleet of %d shards (%d replicas per hot factor)", *shards, max(*replicas, 0))
+			s := serve.NewFleet(serve.FleetConfig{Shards: *shards, Shard: cfg})
+			return s.Handler(), fmt.Sprintf("fleet of %d shards", *shards)
 		}
 		return serve.New(cfg).Handler(), "single server"
 	}
@@ -117,22 +114,6 @@ func main() {
 		}))
 	}
 	os.Exit(runServer(newHandler, *addr, *drainTimeout))
-}
-
-// fleetConfig maps the fleet flags to a serve.FleetConfig. A -replicas
-// value ≤ 0 disables replication, which FleetConfig spells as a
-// negative Replicas: its zero value takes the default of 1.
-func fleetConfig(shards, replicas, promoteAfter int, promoteWindow time.Duration, shard serve.Config) serve.FleetConfig {
-	if replicas <= 0 {
-		replicas = -1
-	}
-	return serve.FleetConfig{
-		Shards:        shards,
-		Replicas:      replicas,
-		PromoteAfter:  promoteAfter,
-		PromoteWindow: promoteWindow,
-		Shard:         shard,
-	}
 }
 
 func runServer(newHandler func() (http.Handler, string), addr string, drainTimeout time.Duration) int {
@@ -188,7 +169,7 @@ type loadgenConfig struct {
 // runLoadgen fires an open-loop request stream (arrivals on a fixed
 // clock, independent of completions — the schedule a latency SLO is
 // measured against) and reports percentiles plus server-side cache,
-// batching, routing and replication effectiveness.
+// batching and routing effectiveness.
 func runLoadgen(newHandler func() (http.Handler, string), target string, lg loadgenConfig) int {
 	if target == "" {
 		h, mode := newHandler()
@@ -234,8 +215,8 @@ func runLoadgen(newHandler func() (http.Handler, string), target string, lg load
 		time.Since(primeStart).Round(time.Millisecond), lg.rate, lg.duration, lg.nrhs, lg.refine, lg.zipfS, lg.facFrac)
 
 	// Popularity: Zipf over problem ranks, so problem 0 dominates and
-	// the tail problems trickle — the distribution that exercises
-	// hot-factor replication. rand.Zipf requires s > 1.
+	// the tail problems trickle — the distribution that loads one
+	// owner shard hardest. rand.Zipf requires s > 1.
 	rng := rand.New(rand.NewSource(7))
 	var zipf *rand.Zipf
 	if lg.problems > 1 {
@@ -247,14 +228,13 @@ func runLoadgen(newHandler func() (http.Handler, string), target string, lg load
 	}
 
 	var (
-		mu          sync.Mutex
-		latencies   []time.Duration
-		substMS     []float64
-		rejected    int
-		failed      int
-		batchSum    int
-		replicaHits int
-		perProblem  = make([]int, lg.problems)
+		mu         sync.Mutex
+		latencies  []time.Duration
+		substMS    []float64
+		rejected   int
+		failed     int
+		batchSum   int
+		perProblem = make([]int, lg.problems)
 		// Slowest successful request, tracked by trace id so the run's
 		// tail is explainable offline via /v1/trace/<id>. When that
 		// request rode a shared batch as a follower, the per-task span
@@ -318,9 +298,6 @@ func runLoadgen(newHandler func() (http.Handler, string), target string, lg load
 				if json.Unmarshal(body, &resp) == nil {
 					batchSum += resp.BatchCols
 					substMS = append(substMS, resp.SubstMS)
-					if resp.Replica {
-						replicaHits++
-					}
 					if elapsed > slowest && resp.TraceID != "" {
 						slowest, slowestID, slowestBatch = elapsed, resp.TraceID, resp.BatchCols
 						slowestLeader = resp.LeaderTrace
@@ -363,8 +340,8 @@ func runLoadgen(newHandler func() (http.Handler, string), target string, lg load
 		for _, c := range perProblem {
 			sent += c
 		}
-		fmt.Printf("tenancy: %d problems, hottest got %d/%d arrivals (%.1f%%), %d served by replicas\n",
-			lg.problems, top, sent, 100*float64(top)/float64(sent), replicaHits)
+		fmt.Printf("tenancy: %d problems, hottest got %d/%d arrivals (%.1f%%)\n",
+			lg.problems, top, sent, 100*float64(top)/float64(sent))
 	}
 
 	// Tail report: name the slowest request and pull its retained trace
@@ -399,7 +376,7 @@ func runLoadgen(newHandler func() (http.Handler, string), target string, lg load
 	}
 
 	// Server-side accounting: cache economy, per-shard skew, routing
-	// and replication, and the p99 breakdown.
+	// and the p99 breakdown.
 	if resp, err := http.Get(target + "/v1/stats"); err == nil {
 		var st serve.StatsResponse
 		err := json.NewDecoder(resp.Body).Decode(&st)
@@ -412,9 +389,8 @@ func runLoadgen(newHandler func() (http.Handler, string), target string, lg load
 }
 
 // report prints the service-side view of the run: the cache hit rate,
-// the per-shard load split (skew = hottest shard over the mean), how
-// much traffic routing and replication absorbed, and the p99
-// breakdown.
+// the per-shard load split (skew = hottest shard over the mean), the
+// router's counts, and the p99 breakdown.
 func report(st serve.StatsResponse) {
 	if refs := st.Cache.Hits + st.Cache.Waits + st.Cache.Misses; refs > 0 {
 		fmt.Printf("factor cache: %.1f%% hit rate (%d hits, %d singleflight waits, %d misses, %d factorization runs)\n",
@@ -427,22 +403,14 @@ func report(st serve.StatsResponse) {
 		if acc > max {
 			max = acc
 		}
-		drain := ""
-		if sh.Draining {
-			drain = " (draining)"
-		}
-		fmt.Printf("  shard %d%s: accepted %d, rejected %d, cache %d entries %d evictions, replicas %d (%d hits), factorizations %d\n",
-			sh.ID, drain, acc, sh.Admission.Rejected, sh.Cache.Entries, sh.Cache.Evictions,
-			sh.Replica.Factors, sh.Replica.Hits, sh.FactorizeRuns)
+		fmt.Printf("  shard %d: accepted %d, rejected %d, cache %d entries %d evictions, factorizations %d\n",
+			sh.ID, acc, sh.Admission.Rejected, sh.Cache.Entries, sh.Cache.Evictions, sh.FactorizeRuns)
 	}
 	if sum := st.Admission.Accepted; sum > 0 && len(st.Shards) > 0 {
 		mean := float64(sum) / float64(len(st.Shards))
 		fmt.Printf("load skew: hottest shard %.2fx mean (%d of %d accepted)\n", float64(max)/mean, max, sum)
 	}
-	fmt.Printf("router: %d requests, %d fallback re-routes, %d rejections, %d replica serves\n",
-		st.Router.Requests, st.Router.Fallbacks, st.Router.Rejected, st.Router.ReplicaServes)
-	fmt.Printf("replication: %d promotions, %d drops, %d active replicas\n",
-		st.Replication.Promotions, st.Replication.Drops, st.Replication.Active)
+	fmt.Printf("router: %d requests, %d rejections\n", st.Router.Requests, st.Router.Rejected)
 	if st.Request.Count > 0 {
 		p := st.Request.P99
 		fmt.Printf("p99 breakdown (trace %s): e2e %.3fms = queue %.3f + factor %.3f + batch-wait %.3f + subst %.3f + refine %.3f + resid %.3f + other %.3f\n",

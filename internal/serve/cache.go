@@ -22,8 +22,7 @@ import (
 // same spec's nugget variants (shard.operator).
 //
 // Lifetime is reference-counted: the owning cache holds one reference
-// while the entry is resident, each replica store holds one, and every
-// in-flight solve pins one between acquisition (Get/Lookup) and
+// while the entry is resident, and every in-flight solve pins one between acquisition (Get/Lookup) and
 // completion. Eviction therefore never frees a factor out from under a
 // running solve — it only drops the cache's reference, and the actual
 // release happens when the last pin goes away.
@@ -54,8 +53,7 @@ type Factor struct {
 	prob  *rbf.Problem
 	delta float64
 
-	// refs counts live references (cache residency + replica stores +
-	// in-flight pins). managed marks cache-owned factors: only those
+	// refs counts live references (cache residency + in-flight pins). managed marks cache-owned factors: only those
 	// release their payload when the count reaches zero, so test
 	// literals that never enter a cache stay inert.
 	refs    atomic.Int64
@@ -158,11 +156,6 @@ type FactorCache struct {
 	entries map[string]*cacheEntry
 	lru     *list.List // of fingerprint strings, front = most recent
 
-	// onEvict, when set, is called outside the cache lock for every
-	// evicted fingerprint — the hook that keeps replica eviction
-	// owner-coordinated.
-	onEvict func(fp string, f *Factor)
-
 	hits, misses, waits, evictions *obs.Counter
 	bytesGauge, entriesGauge       *obs.Gauge
 }
@@ -185,10 +178,6 @@ func NewFactorCache(budget int64, reg *obs.Registry) *FactorCache {
 		entriesGauge: reg.Gauge("serve.cache.entries"),
 	}
 }
-
-// SetOnEvict installs the eviction hook. Call before the cache serves
-// traffic; the hook runs outside the cache lock.
-func (c *FactorCache) SetOnEvict(fn func(fp string, f *Factor)) { c.onEvict = fn }
 
 // Get returns the factor for fp, building it with build on a miss.
 // Concurrent calls for the same fp share one build: the first caller
@@ -236,7 +225,7 @@ func (c *FactorCache) Get(ctx context.Context, fp string, build func() (*Factor,
 
 		f, err := runBuild(build)
 
-		var evicted []evictedFactor
+		var evicted []*Factor
 		c.mu.Lock()
 		if err != nil {
 			delete(c.entries, fp)
@@ -253,7 +242,12 @@ func (c *FactorCache) Get(ctx context.Context, fp string, build func() (*Factor,
 		c.mu.Unlock()
 		e.err = err
 		close(e.ready)
-		c.finishEvictions(evicted)
+		// The cache's references to evicted factors go outside the
+		// lock. A factor still pinned by an in-flight solve survives
+		// until that solve releases it.
+		for _, ev := range evicted {
+			ev.Release()
+		}
 		if err != nil {
 			return nil, false, err
 		}
@@ -309,20 +303,13 @@ func (c *FactorCache) lookupOperator(key string) *Factor {
 	return nil
 }
 
-// evictedFactor is one entry dropped by evictLocked, finished (hook +
-// reference drop) outside the lock.
-type evictedFactor struct {
-	fp string
-	f  *Factor
-}
-
 // evictLocked removes least-recently-used completed entries until the
 // budget is met, always keeping at least one so a single factor larger
 // than the budget still caches (it would otherwise thrash forever).
 // The evicted factors' references are NOT dropped here: the caller
-// must pass the result to finishEvictions after releasing the lock.
-func (c *FactorCache) evictLocked() []evictedFactor {
-	var out []evictedFactor
+// must release them after releasing the lock.
+func (c *FactorCache) evictLocked() []*Factor {
+	var out []*Factor
 	for c.used > c.budget && c.lru.Len() > 1 {
 		back := c.lru.Back()
 		fp := back.Value.(string)
@@ -331,22 +318,9 @@ func (c *FactorCache) evictLocked() []evictedFactor {
 		delete(c.entries, fp)
 		c.used -= e.f.SizeBytes
 		c.evictions.Add(0, 1)
-		out = append(out, evictedFactor{fp: fp, f: e.f})
+		out = append(out, e.f)
 	}
 	return out
-}
-
-// finishEvictions completes evictions outside the cache lock: the
-// eviction hook drops replicas first (owner-coordinated eviction), then
-// the cache's own reference goes away. A factor still pinned by an
-// in-flight solve survives until that solve releases it.
-func (c *FactorCache) finishEvictions(evs []evictedFactor) {
-	for _, ev := range evs {
-		if c.onEvict != nil {
-			c.onEvict(ev.fp, ev.f)
-		}
-		ev.f.Release()
-	}
 }
 
 func (c *FactorCache) updateGaugesLocked() {

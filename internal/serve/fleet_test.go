@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -12,15 +11,12 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"tlrchol/internal/obs"
 )
 
 func newTestFleet(t *testing.T, mut func(*FleetConfig)) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg := FleetConfig{
-		Shards:  3,
-		Metrics: obs.NewRegistry(4),
+		Shards: 3,
 		Shard: Config{
 			BatchWindow:  150 * time.Millisecond,
 			MaxBatchCols: 16,
@@ -48,15 +44,12 @@ func fleetFP(t *testing.T, fl *Server, sp ProblemSpec) string {
 }
 
 // TestFleetKeystone is the fleet acceptance scenario: 16 concurrent
-// solves for one new fingerprint through a 3-shard fleet trigger
-// exactly one factorization fleet-wide, return solutions bitwise
-// identical to a single standalone server, and — after the owner shard
-// drains — re-route to a new owner. Runs under -race via
-// scripts/check.sh.
+// solves for one new fingerprint through a 3-shard fleet all land on the
+// owner, trigger exactly one factorization fleet-wide, and return
+// solutions bitwise identical to a single standalone server. Runs under
+// -race via scripts/check.sh.
 func TestFleetKeystone(t *testing.T) {
-	fl, ts := newTestFleet(t, func(c *FleetConfig) {
-		c.Replicas = -1 // no replication: drain must force a re-factorization
-	})
+	fl, ts := newTestFleet(t, nil)
 	const n, k = 256, 16
 	spec := ProblemSpec{N: n, Tile: 64, Tol: 1e-7}
 
@@ -141,35 +134,17 @@ func TestFleetKeystone(t *testing.T) {
 		}
 	}
 
-	// Drain the owner: the next solve must route to a fresh owner,
-	// which factorizes its own copy (replication is off), bringing the
-	// fleet-wide run count to exactly 2.
-	fl.SetDrain(owner, true)
-	resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Problem: &spec, NRHS: 1})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-drain solve: status %d: %s", resp.StatusCode, body)
-	}
-	var dr SolveResponse
-	if err := json.Unmarshal(body, &dr); err != nil {
-		t.Fatal(err)
-	}
-	if dr.Shard == nil || *dr.Shard == owner {
-		t.Fatalf("post-drain solve served by %v, want a shard other than drained owner %d", dr.Shard, owner)
-	}
-	if st := fl.Stats(); st.SingleFlight.FactorizeRuns != 2 {
-		t.Fatalf("drained owner must force one re-factorization, got %d runs", st.SingleFlight.FactorizeRuns)
-	}
-
 	// One trace id spans the router hop and the shard's work: the
-	// retained trace of the post-drain request carries both the
+	// retained trace of one of the concurrent requests carries both the
 	// router.route and the shard.solve spans.
-	traceResp, traceBody := getURL(t, ts.URL+"/v1/trace/"+dr.TraceID)
+	id := results[k-1].resp.TraceID
+	traceResp, traceBody := getURL(t, ts.URL+"/v1/trace/"+id)
 	if traceResp.StatusCode != http.StatusOK {
 		t.Fatalf("trace lookup: status %d: %s", traceResp.StatusCode, traceBody)
 	}
 	for _, span := range []string{"router.route", "shard.solve"} {
 		if !strings.Contains(string(traceBody), span) {
-			t.Fatalf("trace %s missing %q span", dr.TraceID, span)
+			t.Fatalf("trace %s missing %q span", id, span)
 		}
 	}
 }
@@ -185,92 +160,11 @@ func getURL(t *testing.T, url string) (*http.Response, []byte) {
 	return resp, body
 }
 
-// TestFleetReplication: a fingerprint crossing the promotion threshold
-// is copied to replica shards, replica holders serve solves locally,
-// and the owner's eviction tears every replica down.
-func TestFleetReplication(t *testing.T) {
-	fl, ts := newTestFleet(t, func(c *FleetConfig) {
-		c.Replicas = 1
-		c.PromoteAfter = 3
-		c.PromoteWindow = time.Minute
-	})
-	spec := ProblemSpec{N: 192, Tile: 64, Tol: 1e-7}
-	fp := fleetFP(t, fl, spec)
-	owner := fl.owner(fp)
-
-	if resp, body := postJSON(t, ts.URL+"/v1/factorize", FactorizeRequest{Problem: spec}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("prime factorize: %d: %s", resp.StatusCode, body)
-	}
-	for i := 0; i < 4; i++ {
-		if resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Problem: &spec, NRHS: 1, RHSSeed: int64(i + 1)}); resp.StatusCode != http.StatusOK {
-			t.Fatalf("solve %d: %d: %s", i, resp.StatusCode, body)
-		}
-	}
-
-	holders := fl.repl.replicaHolders(fp)
-	if len(holders) != 1 {
-		t.Fatalf("want 1 replica holder after crossing the threshold, got %v", holders)
-	}
-	holder := holders[0]
-	if holder == owner {
-		t.Fatalf("owner %d must not hold its own replica", owner)
-	}
-	if got := fl.shards[holder].replicas.stats().Factors; got != 1 {
-		t.Fatalf("holder shard %d replica store: %d factors, want 1", holder, got)
-	}
-
-	// The replica actually serves: with the owner's admission gate
-	// forced shut, the solve lands on the holder from its local copy.
-	if !fl.shards[owner].adm.TryAcquire() {
-		t.Fatal("could not occupy the owner's admission slots")
-	}
-	for fl.shards[owner].adm.TryAcquire() {
-	}
-	resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Problem: &spec, NRHS: 1, RHSSeed: 99})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("replica-fallback solve: %d: %s", resp.StatusCode, body)
-	}
-	var sr SolveResponse
-	if err := json.Unmarshal(body, &sr); err != nil {
-		t.Fatal(err)
-	}
-	if sr.Shard == nil || *sr.Shard != holder || !sr.Replica {
-		t.Fatalf("fallback solve served by %v (replica=%v), want holder %d", sr.Shard, sr.Replica, holder)
-	}
-	if st := fl.Stats(); st.Router.ReplicaServes == 0 {
-		t.Fatalf("router stats must count the replica serve: %+v", st.Router)
-	}
-	for i := 0; i < fl.shards[owner].cfg.MaxInflight; i++ {
-		fl.shards[owner].adm.Release()
-	}
-
-	// Owner-coordinated teardown: evicting the fingerprint from the
-	// owner's cache must drop the replica everywhere.
-	filler, _, err := fl.shards[owner].cache.Get(context.Background(), "filler", func() (*Factor, error) {
-		return &Factor{FP: "filler", SizeBytes: 1 << 62}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	filler.Release()
-	if got := fl.repl.replicaHolders(fp); len(got) != 0 {
-		t.Fatalf("eviction must drop replica holders, still have %v", got)
-	}
-	if got := fl.shards[holder].replicas.stats().Factors; got != 0 {
-		t.Fatalf("holder shard %d still stores %d replicas after owner eviction", holder, got)
-	}
-	if st := fl.Stats(); st.Replication.Drops == 0 || st.Replication.Active != 0 {
-		t.Fatalf("replication stats after eviction: %+v", st.Replication)
-	}
-}
-
-// TestFleetRetryAfterOn429: when the owner and every replica are
-// saturated, the fleet's 429 carries a computed Retry-After hint and
-// the rejection is counted; factorize requests (owner-only) reject the
-// same way.
+// TestFleetRetryAfterOn429: when the owner is saturated, the fleet's
+// 429 carries a computed Retry-After hint and the rejection is counted;
+// factorize requests reject the same way.
 func TestFleetRetryAfterOn429(t *testing.T) {
 	fl, ts := newTestFleet(t, func(c *FleetConfig) {
-		c.Replicas = -1
 		c.Shard.MaxInflight = 1
 	})
 	spec := ProblemSpec{N: 192, Tile: 64, Tol: 1e-7}
@@ -299,7 +193,7 @@ func TestFleetRetryAfterOn429(t *testing.T) {
 // A fleet's cache, admission and counter totals are the sums of its
 // shards', and a single server's are its one shard's.
 func TestStatsServiceWide(t *testing.T) {
-	fl, fts := newTestFleet(t, func(c *FleetConfig) { c.Replicas = -1 })
+	fl, fts := newTestFleet(t, nil)
 	solo, sts := newTestServer(t, nil)
 	for _, ts := range []string{fts.URL, sts.URL} {
 		for seed := int64(42); seed < 45; seed++ {

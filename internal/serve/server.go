@@ -12,8 +12,8 @@
 // It is one HTTP front end (Server: mux, tracing, decoding, the error
 // envelope, routing, stats) over N shards (shard.go), each with its own
 // cache, batcher and admission gate. New builds one shard; NewFleet
-// builds several behind a fingerprint router (router.go) with hot-factor
-// replication (replicate.go).
+// builds several behind a fingerprint router (router.go) that sends
+// each problem to its one owner shard.
 package serve
 
 import (
@@ -24,7 +24,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tlrchol/internal/obs"
@@ -64,11 +63,9 @@ type Config struct {
 	// TraceSpanCap sizes each detailed request's span ring (default
 	// 4096; overflow is counted, not recorded).
 	TraceSpanCap int
-	// FlightSlow / FlightRecent / FlightErrors size the flight
-	// recorder's retention policies (0 = defaults 32 / 128 / 64).
-	FlightSlow   int
-	FlightRecent int
-	FlightErrors int
+	// FlightSlow is how many of the slowest traces the flight recorder
+	// keeps per endpoint (0 = default 32).
+	FlightSlow int
 	// AccessLog, when non-nil, receives one structured JSON line per
 	// completed request. Lines are written whole under a server mutex,
 	// so any io.Writer is safe.
@@ -105,50 +102,14 @@ func (c *Config) defaults() {
 	}
 }
 
-// FleetConfig sizes a multi-shard service. Zero values take production
-// defaults.
+// FleetConfig sizes a multi-shard service.
 type FleetConfig struct {
-	// Shards is the shard count (default 3).
+	// Shards is the shard count (0 = default 3).
 	Shards int
-	// Replicas is how many extra shards a hot factor is copied to
-	// (default 1, clamped to Shards-1; a negative value disables
-	// replication).
-	Replicas int
-	// PromoteAfter is the solve count within PromoteWindow that marks a
-	// fingerprint hot (default 8).
-	PromoteAfter int
-	// PromoteWindow is the popularity decay window (default 10s).
-	PromoteWindow time.Duration
 	// Shard is the per-shard config. Shard.Metrics is ignored: each
-	// shard gets its own registry so per-shard counters never collide.
-	// Metrics, when set, receives the front end's own counters
-	// (default: a fresh registry).
-	Shard   Config
-	Metrics *obs.Registry
-}
-
-func (c *FleetConfig) defaults() {
-	if c.Shards <= 0 {
-		c.Shards = 3
-	}
-	if c.Replicas == 0 {
-		c.Replicas = 1
-	}
-	if c.Replicas < 0 {
-		c.Replicas = 0
-	}
-	if c.Replicas > c.Shards-1 {
-		c.Replicas = c.Shards - 1
-	}
-	if c.PromoteAfter <= 0 {
-		c.PromoteAfter = 8
-	}
-	if c.PromoteWindow <= 0 {
-		c.PromoteWindow = 10 * time.Second
-	}
-	if c.Metrics == nil {
-		c.Metrics = obs.NewRegistry(4)
-	}
+	// shard, and the front end, gets a registry of its own so per-shard
+	// counters never collide.
+	Shard Config
 }
 
 // Server is the HTTP solve service: one front end over one shard (New)
@@ -157,36 +118,30 @@ func (c *FleetConfig) defaults() {
 // mid-window) run to completion.
 //
 // The front end owns everything HTTP-facing: the mux, request tracing,
-// decoding and the error envelope, the rendezvous router and the
-// replicator. It calls the shards in process. The router
-// consistent-hashes the problem fingerprint to an owner shard, so:
+// decoding and the error envelope, and the rendezvous router. It calls
+// the shards in process. The router hashes the problem fingerprint to
+// its owner shard, and every factorize and solve for that fingerprint
+// goes there and nowhere else, so:
 //
-//   - every factorization for a fingerprint lands on one shard, and
-//     that shard's single-flight collapses concurrent builds — exactly
+//   - that shard's single-flight collapses concurrent builds — exactly
 //     one factorization per fingerprint service-wide;
 //   - cache capacity partitions instead of duplicating: S shards hold
 //     S distinct working sets;
-//   - hot fingerprints replicate to extra shards, and the router
-//     spreads their solves across the copies by load;
-//   - draining a shard re-routes only the keys it owned, and a
-//     saturated owner's 429 degrades into a retry on a replica before
-//     the client ever sees it.
+//   - a saturated owner's 429 reaches the client with the owner's own
+//     Retry-After hint.
 //
 // One trace id covers the router hop and the shard's work: the front
 // end records a router.route span, the shard a shard.solve or
 // shard.factorize span.
 type Server struct {
-	cfg      Config // per-shard template with defaults applied
-	reg      *obs.Registry
-	shards   []*shard
-	draining []atomic.Bool
-	repl     *replicator
-	tr       *tracer
-	mux      *http.ServeMux
-	started  time.Time
+	cfg     Config // per-shard template with defaults applied
+	reg     *obs.Registry
+	shards  []*shard
+	tr      *tracer
+	mux     *http.ServeMux
+	started time.Time
 
-	httpErrors, factorReqs, solveReqs            *obs.Counter
-	routeFallbacks, routeRejected, replicaServes *obs.Counter
+	httpErrors, factorReqs, solveReqs, routeRejected *obs.Counter
 
 	statsMu    sync.Mutex
 	lastTotals map[string]uint64
@@ -196,46 +151,38 @@ type Server struct {
 // shard, reporting to cfg.Metrics like the front end.
 func New(cfg Config) *Server {
 	cfg.defaults()
-	return newServer(FleetConfig{Shards: 1, Shard: cfg, Metrics: cfg.Metrics},
-		func() *obs.Registry { return cfg.Metrics })
+	return newServer(1, cfg, func() *obs.Registry { return cfg.Metrics })
 }
 
-// NewFleet builds a service of cfg.Shards shards, each on a registry of
-// its own, behind the fingerprint router.
+// NewFleet builds a service of cfg.Shards shards behind the fingerprint
+// router, the front end and each shard on a registry of its own.
 func NewFleet(cfg FleetConfig) *Server {
-	return newServer(cfg, func() *obs.Registry { return obs.NewRegistry(4) })
+	if cfg.Shards <= 0 {
+		cfg.Shards = 3
+	}
+	cfg.Shard.Metrics = obs.NewRegistry(4)
+	return newServer(cfg.Shards, cfg.Shard, func() *obs.Registry { return obs.NewRegistry(4) })
 }
 
-func newServer(fc FleetConfig, shardReg func() *obs.Registry) *Server {
-	fc.defaults()
-	cfg := fc.Shard
+// newServer builds a front end reporting to cfg.Metrics over shards
+// shards, each reporting to a registry from shardReg.
+func newServer(shards int, cfg Config, shardReg func() *obs.Registry) *Server {
 	cfg.defaults()
-	reg := fc.Metrics
+	reg := cfg.Metrics
 	s := &Server{
-		cfg:            cfg,
-		reg:            reg,
-		shards:         make([]*shard, fc.Shards),
-		draining:       make([]atomic.Bool, fc.Shards),
-		mux:            http.NewServeMux(),
-		started:        time.Now(),
-		httpErrors:     reg.Counter("serve.http.errors"),
-		factorReqs:     reg.Counter("serve.factorize.requests"),
-		solveReqs:      reg.Counter("serve.solve.requests"),
-		routeFallbacks: reg.Counter("fleet.route.fallbacks"),
-		routeRejected:  reg.Counter("fleet.route.rejected"),
-		replicaServes:  reg.Counter("fleet.route.replica_serves"),
+		cfg:           cfg,
+		reg:           reg,
+		shards:        make([]*shard, shards),
+		mux:           http.NewServeMux(),
+		started:       time.Now(),
+		httpErrors:    reg.Counter("serve.http.errors"),
+		factorReqs:    reg.Counter("serve.factorize.requests"),
+		solveReqs:     reg.Counter("serve.solve.requests"),
+		routeRejected: reg.Counter("fleet.route.rejected"),
 	}
 	s.tr = newTracer(&cfg)
 	for i := range s.shards {
 		s.shards[i] = newShard(i, cfg, shardReg())
-	}
-	s.repl = newReplicator(s, fc.Replicas, fc.PromoteAfter, fc.PromoteWindow, reg)
-	for _, sh := range s.shards {
-		// Owner-coordinated replica eviction: when a shard's cache drops
-		// a fingerprint, every replica of it goes too. The hook runs
-		// outside the cache lock (see FactorCache.finishEvictions), so
-		// the replicator's lock never nests inside a cache's.
-		sh.cache.SetOnEvict(func(fp string, f *Factor) { s.repl.dropped(fp) })
 	}
 
 	s.mux.HandleFunc("POST /v1/factorize", s.tr.traced("/v1/factorize", true, s.handleFactorize))
@@ -250,26 +197,13 @@ func newServer(fc FleetConfig, shardReg func() *obs.Registry) *Server {
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// SetDrain marks a shard draining (true) or serving (false). A
-// draining shard stops owning fingerprints — the rendezvous order
-// promotes the next shard — and stops receiving replica installs; its
-// in-flight work finishes normally.
-func (s *Server) SetDrain(id int, draining bool) {
-	if id >= 0 && id < len(s.draining) {
-		s.draining[id].Store(draining)
-	}
-}
-
-func (s *Server) isDraining(id int) bool { return s.draining[id].Load() }
-
 // errorBody is the uniform error envelope.
 type errorBody struct {
 	Error string `json:"error"`
 }
 
 // apiError carries an HTTP status (plus an optional Retry-After hint)
-// across the shard/router boundary, so the router can distinguish
-// "this shard is full, try a replica" from a terminal failure.
+// from a shard back through the router to the client.
 type apiError struct {
 	code       int
 	retryAfter int // seconds; > 0 emits a Retry-After header
@@ -310,8 +244,8 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 // admitFirst takes the only shard's admission slot before the body is
 // read: with one shard the owner is known without a fingerprint, so
 // overload sheds with a 429 without paying for a JSON parse. With
-// several shards it holds nothing; each candidate admits in turn once
-// the request is routed. ok is false when the 429 has been sent; held
+// several shards it holds nothing; the owner admits once the request
+// is routed. ok is false when the 429 has been sent; held
 // reports a slot on shard 0 that the caller must release.
 func (s *Server) admitFirst(w http.ResponseWriter) (held, ok bool) {
 	if len(s.shards) > 1 {
@@ -433,11 +367,8 @@ type SolveResponse struct {
 	// batch (equal to TraceID when this request led).
 	TraceID     string `json:"trace_id,omitempty"`
 	LeaderTrace string `json:"leader_trace,omitempty"`
-	// Shard names the shard that served the solve; Replica reports
-	// whether it served from a replicated copy rather than its own
-	// cache.
-	Shard   *int `json:"shard,omitempty"`
-	Replica bool `json:"replica,omitempty"`
+	// Shard names the shard that served the solve.
+	Shard *int `json:"shard,omitempty"`
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -470,46 +401,18 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	owner := s.owner(k.fp)
-	cands := s.solveCandidates(k.fp)
 	rt.Span("router.route", -1, routeStart, rt.Now()-routeStart, obs.SpanInfo{}, false)
-
-	// Try candidates best-first. Only capacity rejections fall through
-	// to the next copy; every other error is the request's own fault or
-	// a real failure, and retrying elsewhere would just repeat it.
-	minRetry := 0
-	var last *apiError
-	for i, id := range cands {
-		if i > 0 {
-			s.routeFallbacks.Add(0, 1)
+	rt.Tag("shard", strconv.Itoa(owner))
+	resp, aerr := s.shards[owner].doSolve(r.Context(), &req, k, held)
+	if aerr != nil {
+		if aerr.code == http.StatusTooManyRequests {
+			s.routeRejected.Add(0, 1)
 		}
-		resp, aerr := s.shards[id].doSolve(r.Context(), &req, k, held)
-		if aerr == nil {
-			sid := id
-			resp.Shard = &sid
-			resp.Replica = id != owner
-			rt.Tag("shard", strconv.Itoa(id))
-			if id != owner {
-				s.replicaServes.Add(0, 1)
-			}
-			s.repl.noteSolve(resp.Fingerprint, s.owner(resp.Fingerprint))
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		if aerr.code != http.StatusTooManyRequests {
-			rt.Tag("shard", strconv.Itoa(id))
-			s.failAPI(w, aerr)
-			return
-		}
-		if minRetry == 0 || (aerr.retryAfter > 0 && aerr.retryAfter < minRetry) {
-			minRetry = aerr.retryAfter
-		}
-		last = aerr
+		s.failAPI(w, aerr)
+		return
 	}
-	// Every copy is saturated: reject with the most optimistic hint any
-	// shard offered.
-	s.routeRejected.Add(0, 1)
-	last.retryAfter = minRetry
-	s.failAPI(w, last)
+	resp.Shard = &owner
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // SingleFlightStats aggregates the service-wide factorization economy.
@@ -524,31 +427,20 @@ type SingleFlightStats struct {
 
 // RouterStats counts routing outcomes.
 type RouterStats struct {
-	Requests      uint64 `json:"requests"`
-	Fallbacks     uint64 `json:"fallbacks"`
-	Rejected      uint64 `json:"rejected"`
-	ReplicaServes uint64 `json:"replica_serves"`
-}
-
-// ReplicationStats summarizes hot-factor replication.
-type ReplicationStats struct {
-	Promotions uint64 `json:"promotions"`
-	Drops      uint64 `json:"drops"`
-	Active     int    `json:"active"`
+	Requests uint64 `json:"requests"`
+	Rejected uint64 `json:"rejected"`
 }
 
 // ShardStatsEntry is one shard's slice of the stats.
 type ShardStatsEntry struct {
 	ID            int            `json:"id"`
-	Draining      bool           `json:"draining"`
 	FactorizeRuns uint64         `json:"factorize_runs"`
 	Cache         CacheStats     `json:"cache"`
 	Admission     AdmissionStats `json:"admission"`
-	Replica       ReplicaStats   `json:"replica"`
 }
 
 // StatsResponse is the /v1/stats body. The top-level cache, admission,
-// replica, solve-only, totals and window views are service-wide: sums
+// solve-only, totals and window views are service-wide: sums
 // over the shards (percentiles over the union of their windows), with
 // the counters of every registry summed by name. Totals are lifetime
 // values; Window is the delta since the previous stats scrape —
@@ -557,7 +449,6 @@ type StatsResponse struct {
 	UptimeSec float64           `json:"uptime_sec"`
 	Cache     CacheStats        `json:"cache"`
 	Admission AdmissionStats    `json:"admission"`
-	Replica   ReplicaStats      `json:"replica"`
 	SolveOnly SolveLatencyStats `json:"solve_only"`
 	// Request covers end-to-end /v1/solve latency (routing, queueing,
 	// batching and response overhead included) with a per-percentile
@@ -572,7 +463,6 @@ type StatsResponse struct {
 	Shards       []ShardStatsEntry `json:"shards"`
 	SingleFlight SingleFlightStats `json:"single_flight"`
 	Router       RouterStats       `json:"router"`
-	Replication  ReplicationStats  `json:"replication"`
 }
 
 // Stats assembles the /v1/stats body. Each call closes the counter
@@ -591,15 +481,8 @@ func (s *Server) Stats() StatsResponse {
 		Request:   requestLatencyStats(s.tr.reqLatency),
 		Flight:    s.tr.flight.Stats(),
 		Router: RouterStats{
-			Requests:      s.factorReqs.Value() + s.solveReqs.Value(),
-			Fallbacks:     s.routeFallbacks.Value(),
-			Rejected:      s.routeRejected.Value(),
-			ReplicaServes: s.replicaServes.Value(),
-		},
-		Replication: ReplicationStats{
-			Promotions: s.repl.promotions.Value(),
-			Drops:      s.repl.drops.Value(),
-			Active:     s.repl.activeReplicas(),
+			Requests: s.factorReqs.Value() + s.solveReqs.Value(),
+			Rejected: s.routeRejected.Value(),
 		},
 	}
 	rings := make([]*ring[float64], len(s.shards))
@@ -609,11 +492,9 @@ func (s *Server) Stats() StatsResponse {
 		}
 		e := ShardStatsEntry{
 			ID:            i,
-			Draining:      s.isDraining(i),
 			FactorizeRuns: sh.factorRuns.Value(),
 			Cache:         sh.cache.Stats(),
 			Admission:     sh.adm.Stats(),
-			Replica:       sh.replicas.stats(),
 		}
 		resp.Shards[i] = e
 		rings[i] = sh.solveOnly
@@ -629,8 +510,6 @@ func (s *Server) Stats() StatsResponse {
 		a.Inflight += e.Admission.Inflight
 		a.Accepted += e.Admission.Accepted
 		a.Rejected += e.Admission.Rejected
-		resp.Replica.Factors += e.Replica.Factors
-		resp.Replica.Hits += e.Replica.Hits
 		resp.SingleFlight.FactorizeRuns += e.FactorizeRuns
 	}
 	resp.SolveOnly = solveLatencyStats(rings...)

@@ -18,19 +18,18 @@ import (
 )
 
 // shard is one solve engine behind the front end: a factor cache with
-// single-flight builds, a batcher, an admission gate and a replica
-// store, reporting to its own registry (or, in a single server, to the
-// front end's). It has no HTTP surface: the front end decodes, routes
-// and calls doFactorize and doSolve in process, and the shard records its
-// work into the trace it finds in the context.
+// single-flight builds, a batcher and an admission gate, reporting to
+// its own registry (or, in a single server, to the front end's). It
+// has no HTTP surface: the front end decodes, routes and calls
+// doFactorize and doSolve in process, and the shard records its work
+// into the trace it finds in the context.
 type shard struct {
-	id       int
-	cfg      Config
-	reg      *obs.Registry
-	cache    *FactorCache
-	batcher  *Batcher
-	adm      *Admission
-	replicas *replicaStore
+	id      int
+	cfg     Config
+	reg     *obs.Registry
+	cache   *FactorCache
+	batcher *Batcher
+	adm     *Admission
 
 	// opReuse counts builds that reused a resident factor's operator.
 	factorRuns, opReuse                       *obs.Counter
@@ -49,7 +48,6 @@ func newShard(id int, cfg Config, reg *obs.Registry) *shard {
 		cache:         NewFactorCache(cfg.CacheBudget, reg),
 		batcher:       NewBatcher(cfg.BatchWindow, cfg.MaxBatchCols, cfg.SolveTimeout, cfg.SolveWorkers, reg),
 		adm:           NewAdmission(cfg.MaxInflight, reg),
-		replicas:      newReplicaStore(reg),
 		factorRuns:    reg.Counter("serve.factorize.runs"),
 		opReuse:       reg.Counter("serve.factorize.op_reuse"),
 		factorLatency: reg.Histogram("serve.factorize.latency_ms", 10, 100, 1000, 10000, 60000),
@@ -72,9 +70,8 @@ type problemKey struct {
 // slot should free: the recent median substitution latency times the
 // current queue depth. A cold shard (no latency history) assumes a
 // 25ms solve. Clamped to [1, 30] — the hint steers client backoff, it
-// is not a promise. The estimate is deterministic so the router can
-// compare shards by it; the client-facing header adds jitter on top
-// (admit) to decorrelate retry storms.
+// is not a promise. The client-facing header adds jitter on top (admit)
+// to decorrelate retry storms.
 func (sh *shard) retryAfterEstimate() int {
 	st := solveLatencyStats(sh.solveOnly)
 	p50 := st.P50MS
@@ -177,14 +174,9 @@ func factorAPIError(err error) *apiError {
 }
 
 // resolveFactor gets-or-builds the factor for the normalized spec sp
-// through the single-flight cache. Replicated factors are checked
-// first: a replica holder serves solves locally without touching its
-// own cache. The returned factor is pinned for the caller (Release when
-// the solve is done).
+// through the single-flight cache. The returned factor is pinned for
+// the caller (Release when the solve is done).
 func (sh *shard) resolveFactor(ctx context.Context, sp ProblemSpec, k problemKey) (*Factor, bool, error) {
-	if f, ok := sh.replicas.lookup(k.fp); ok {
-		return f, true, nil
-	}
 	// The requester that wins the single-flight donates its trace to
 	// the build: its /v1/trace shows compress/factorize/plan spans.
 	// Waiters see the build only as their "factor" phase duration.
@@ -344,13 +336,9 @@ func (sh *shard) doSolve(ctx context.Context, req *SolveRequest, k problemKey, h
 	if req.Problem != nil {
 		n = req.Problem.N
 	} else {
-		// A fingerprint names a factor this shard already holds: in its
-		// own cache, or as a replica.
+		// A fingerprint names a factor this shard already holds.
 		var ok bool
 		if f, ok = sh.cache.Lookup(req.Fingerprint); !ok {
-			f, ok = sh.replicas.lookup(req.Fingerprint)
-		}
-		if !ok {
 			return nil, apiErrorf(http.StatusNotFound, "no cached factor for fingerprint %q; send a problem spec", req.Fingerprint)
 		}
 		cached = true

@@ -101,10 +101,11 @@ func newTracer(cfg *Config) *tracer {
 	if cfg.DisableTracing {
 		spanCap = 0
 	}
+	// The flight recorder's recent and error rings keep their defaults.
 	return &tracer{
 		ids:        newTraceIDs(),
 		spanCap:    spanCap,
-		flight:     obs.NewFlightRecorder(cfg.FlightSlow, cfg.FlightRecent, cfg.FlightErrors),
+		flight:     obs.NewFlightRecorder(cfg.FlightSlow, 0, 0),
 		reqLatency: newRing[BreakdownMS](0),
 		accessLog:  cfg.AccessLog,
 	}

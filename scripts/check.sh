@@ -253,7 +253,7 @@ echo "== fleet gate"
 # scrape), and /v1/stats must answer with the fleet view (per-shard
 # rows + the single-flight rollup). A skewed multi-tenant loadgen
 # burst through a 3-shard fleet must then report per-shard load skew
-# and fleet-wide router/replication counters.
+# and the fleet-wide router counters.
 : > "$serve_log"
 bg /tmp/tlrserve-check -addr 127.0.0.1:0 -shards 3 -batch-window 50ms -drain-timeout 5s > "$serve_log" 2>&1
 serve_pid=$!
@@ -291,8 +291,6 @@ grep -Eq '^  shard [0-9]+' "$serve_log" || {
     echo "check.sh: fleet loadgen did not report per-shard lines" >&2; cat "$serve_log" >&2; exit 1; }
 grep -q '^router: ' "$serve_log" || {
     echo "check.sh: fleet loadgen did not report router counters" >&2; cat "$serve_log" >&2; exit 1; }
-grep -q '^replication: ' "$serve_log" || {
-    echo "check.sh: fleet loadgen did not report replication counters" >&2; cat "$serve_log" >&2; exit 1; }
 
 echo "== indefinite factorization gate"
 # The LDLᵀ keystone (factor + planned solve vs the dense reference on a
