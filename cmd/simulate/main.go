@@ -13,8 +13,8 @@ import (
 	"tlrchol/internal/dist"
 	"tlrchol/internal/obs"
 	"tlrchol/internal/ranks"
+	"tlrchol/internal/runtime"
 	"tlrchol/internal/sim"
-	"tlrchol/internal/trace"
 )
 
 func main() {
@@ -134,7 +134,7 @@ func main() {
 	}
 	fmt.Println()
 	if *gantt && len(r.Trace) > 0 {
-		fmt.Println(trace.Gantt(r.Trace, 100))
+		fmt.Println(obs.Gantt(runtime.Events(r.Trace), 100))
 	}
 	if *critpath && len(r.PathNodes) > 0 {
 		fmt.Print(obs.CriticalPath(r.PathNodes).String())
@@ -149,7 +149,7 @@ func main() {
 			"machine": *machineName, "nodes": *nodes, "n": *n, "b": *b,
 			"simulated": true,
 		}
-		if err := obs.WriteChromeTrace(f, trace.FromRecords(r.Trace), meta); err != nil {
+		if err := obs.WriteChromeTrace(f, runtime.Events(r.Trace), meta); err != nil {
 			fmt.Fprintf(os.Stderr, "trace-out: %v\n", err)
 			os.Exit(1)
 		}

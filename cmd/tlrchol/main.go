@@ -24,9 +24,9 @@ import (
 	"tlrchol/internal/obs"
 	"tlrchol/internal/ranks"
 	"tlrchol/internal/rbf"
+	"tlrchol/internal/runtime"
 	"tlrchol/internal/sim"
 	"tlrchol/internal/tilemat"
-	"tlrchol/internal/trace"
 	sverify "tlrchol/internal/verify"
 )
 
@@ -209,15 +209,9 @@ func main() {
 			ref = prob.Dense()
 		}
 	}
-	var tr *obs.Tracer
-	if *traceOut != "" {
-		if *seq {
-			fmt.Fprintln(os.Stderr, "-trace-out requires the task runtime; ignoring under -sequential")
-			*traceOut = ""
-		} else {
-			tr = obs.NewTracer()
-			obs.Activate(tr)
-		}
+	if *traceOut != "" && *seq {
+		fmt.Fprintln(os.Stderr, "-trace-out requires the task runtime; ignoring under -sequential")
+		*traceOut = ""
 	}
 	var rep core.Report
 	var err error
@@ -235,9 +229,8 @@ func main() {
 		var drep core.DistReport
 		drep, err = core.FactorizeDistributed(m, core.DistOptions{
 			Tol: *tol, Trim: *trim, Nodes: *nodes, WorkersPerNode: *workers,
-			Remap: remap, Tracer: tr, Comm: comm,
+			Remap: remap, Comm: comm,
 		})
-		obs.Deactivate()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "factorization failed: %v\n", err)
 			os.Exit(1)
@@ -257,11 +250,11 @@ func main() {
 		rep.EffFlops, rep.DenseFlops = drep.EffFlops, drep.DenseFlops
 		rep.TasksExecuted = drep.Cluster.Executed
 		rep.TasksTrimmed = drep.TasksTrimmed
+		rep.Trace = drep.Cluster.Trace
 	} else {
 		opts := core.Options{
 			Tol: *tol, Trim: *trim, Workers: *workers, Sequential: *seq,
-			CollectTrace: *showTrace && !*seq, Tracer: tr,
-			CritPath: (*showTrace || *traceOut != "") && !*seq,
+			CollectTrace: (*showTrace || *traceOut != "") && !*seq,
 		}
 		diagClass := "potrf"
 		if ldlt {
@@ -270,7 +263,6 @@ func main() {
 		} else {
 			rep, err = core.Factorize(m, opts)
 		}
-		obs.Deactivate()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "factorization failed: %v\n", err)
 			os.Exit(1)
@@ -308,9 +300,12 @@ func main() {
 		obs.Default.Gauge("sched.ready.highwater").Set(int64(rep.Runtime.MaxReady))
 	}
 
-	if *showTrace && len(rep.Trace) > 0 {
-		fmt.Println(trace.Analyze(rep.Trace).String())
-		fmt.Println(trace.Gantt(rep.Trace, 100))
+	// The timeline: the runtime's task records, or on the virtual
+	// cluster its node-worker and comm records.
+	events := runtime.Events(rep.Trace)
+	if *showTrace && len(events) > 0 {
+		fmt.Println(obs.Summarize(events).String())
+		fmt.Println(obs.Gantt(events, 100))
 	}
 	if rep.CritPath != nil {
 		fmt.Print(rep.CritPath.String())
@@ -325,7 +320,6 @@ func main() {
 			"n": *n, "b": *b, "tol": *tol, "trim": *trim,
 			"workers": rep.Runtime.Workers, "tasks": rep.TasksExecuted,
 		}
-		events := tr.Events()
 		if werr := obs.WriteChromeTrace(f, events, meta); werr != nil {
 			fmt.Fprintf(os.Stderr, "trace-out: %v\n", werr)
 			os.Exit(1)
@@ -334,14 +328,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "trace-out: %v\n", cerr)
 			os.Exit(1)
 		}
-		spans := 0
-		for _, e := range events {
-			if e.Kind == obs.KindSpan {
-				spans++
-			}
-		}
-		fmt.Printf("trace: %d spans (%d events, %d dropped) -> %s\n",
-			spans, len(events), tr.Dropped(), *traceOut)
+		// One span per record; the rest are ready-queue samples.
+		fmt.Printf("trace: %d spans (%d events) -> %s\n", len(rep.Trace), len(events), *traceOut)
 	}
 	if *showMetrics {
 		fmt.Print(obs.Default.Snapshot().String())

@@ -16,9 +16,9 @@ import (
 	"tlrchol/internal/obs"
 	"tlrchol/internal/ranks"
 	"tlrchol/internal/rbf"
+	"tlrchol/internal/runtime"
 	"tlrchol/internal/sim"
 	"tlrchol/internal/tilemat"
-	"tlrchol/internal/trace"
 )
 
 // TestFullPipeline runs geometry → parallel tile assembly and
@@ -58,7 +58,7 @@ func TestFullPipeline(t *testing.T) {
 	if walk := rep.Potrf + rep.Trsm + rep.Syrk + rep.Gemm; rep.TasksExecuted != walk || len(rep.Trace) != walk {
 		t.Fatalf("%d walk tasks, %d executed, %d traced", walk, rep.TasksExecuted, len(rep.Trace))
 	}
-	sum := trace.Analyze(rep.Trace)
+	sum := obs.Summarize(runtime.Events(rep.Trace))
 	if sum.Makespan <= 0 || len(sum.Classes) < 3 {
 		t.Fatalf("trace analysis incomplete: %+v", sum)
 	}
@@ -141,7 +141,7 @@ func TestTLRBeatsDenseBaseline(t *testing.T) {
 
 // TestObsSmoke runs a traced, metered factorization end to end and
 // checks the observability contract: every executed task has exactly
-// one span, the Chrome export validates and covers all spans, the
+// one span on a worker track, the Chrome export validates and covers all spans, the
 // per-class counters agree with the report's task counts, the
 // effective-flop accounting shows the data-sparsity win, and the
 // critical-path attribution is internally consistent.
@@ -156,29 +156,28 @@ func TestObsSmoke(t *testing.T) {
 	prob, _ := rbf.NewProblem(pts, kernel)
 	m, st := tilemat.FromAssembler(n, b, prob.Block, tol, 0)
 
-	tr := obs.NewTracer()
 	reg := obs.NewRegistry(0)
 	rep, err := core.Factorize(m, core.Options{
 		Tol: tol, Trim: true, Workers: 2,
-		Tracer: tr, Metrics: reg, CritPath: true,
+		CollectTrace: true, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// One span per executed task, nothing dropped.
-	events := tr.Events()
+	// One span per executed task, each on a worker track.
+	events := runtime.Events(rep.Trace)
 	spans := 0
 	for _, e := range events {
 		if e.Kind == obs.KindSpan {
 			spans++
+			if e.Worker < 0 || int(e.Worker) >= rep.Runtime.Workers {
+				t.Fatalf("span %s on track %d of %d workers", e.Name, e.Worker, rep.Runtime.Workers)
+			}
 		}
 	}
 	if spans != rep.TasksExecuted {
 		t.Fatalf("span count %d != executed tasks %d", spans, rep.TasksExecuted)
-	}
-	if tr.Dropped() != 0 {
-		t.Fatalf("tracer dropped %d events", tr.Dropped())
 	}
 
 	// The Chrome export must validate and cover every span.

@@ -63,10 +63,6 @@ type Config struct {
 	// Remap pairs the data distribution (tile ownership) with the
 	// execution distribution; a nil Exec means owner-computes.
 	Remap dist.Remap
-	// Tracer, if non-nil, receives one span per executed task on the
-	// executing node's worker track plus one comm span per processed
-	// message on the node's dedicated comm track.
-	Tracer *obs.Tracer
 	// Comm, if non-nil, accumulates the per-node message/byte counters.
 	Comm *obs.CommTracker
 }
@@ -106,6 +102,10 @@ type Stats struct {
 	PerNode []NodeStats
 	// Comm is the communication snapshot (empty when Config.Comm nil).
 	Comm obs.CommSnapshot
+	// Trace is the run's timeline: one record per executed task, by id,
+	// on track node·W+worker, then one per message a node processed, by
+	// node and arrival, on track P·W+node.
+	Trace []runtime.TaskRecord
 }
 
 // Ctx is the task body's window onto its executing node: tile reads and
@@ -193,6 +193,15 @@ type node struct {
 
 	busyNs   atomic.Int64
 	tasksRun atomic.Int64
+	// comm records the messages processed, by the comm engine alone.
+	comm []commRecord
+}
+
+// commRecord is one processed message on a node's comm track.
+type commRecord struct {
+	kind       msgKind
+	id         TileID
+	start, dur time.Duration
 }
 
 // sortTileIDs orders tile IDs column-major (N, then M) — the
@@ -233,6 +242,9 @@ type engine struct {
 	at      []int32
 	waits   []int32
 	wbAfter []bool
+	// recs holds each task's record, written by the worker that ran it
+	// (Worker -1: not run).
+	recs []runtime.TaskRecord
 
 	start    time.Time
 	pending  atomic.Int64
@@ -266,10 +278,9 @@ func Run(g *runtime.Graph, writes func(id int) TileID, exec func(id int, c *Ctx)
 
 	nt := g.Tasks()
 	e := &engine{g: g, exec: exec, cfg: cfg, start: time.Now(),
-		tile: make([]TileID, nt), at: make([]int32, nt), waits: make([]int32, nt), wbAfter: make([]bool, nt)}
+		tile: make([]TileID, nt), at: make([]int32, nt), waits: make([]int32, nt), wbAfter: make([]bool, nt),
+		recs: make([]runtime.TaskRecord, nt)}
 	e.pending.Store(int64(nt))
-	// Tracks: node i worker j → i·W+j; node i's comm engine → P·W+i.
-	cfg.Tracer.StartAt(e.start, P*W+P)
 
 	// Place every task at its executing node, count its predecessors
 	// and locate each tile's first and last writer.
@@ -282,6 +293,7 @@ func Run(g *runtime.Graph, writes func(id int) TileID, exec func(id int, c *Ctx)
 			return Stats{}, nil, fmt.Errorf("cluster: ExecRankOf(%d,%d) = %d out of range [0,%d)", w.M, w.N, ex, P)
 		}
 		e.tile[id], e.at[id] = w, int32(ex)
+		e.recs[id].Worker = -1
 		if _, ok := firstWriter[w]; !ok {
 			firstWriter[w] = int32(id)
 		}
@@ -367,11 +379,12 @@ func Run(g *runtime.Graph, writes func(id int) TileID, exec func(id int, c *Ctx)
 		}
 	}
 
-	// Launch the comm engines and worker pools.
+	// Launch the comm engines and worker pools. Tracks: node i worker j
+	// → i·W+j; node i's comm engine → P·W+i.
 	for i := 0; i < P; i++ {
 		n := e.nodes[i]
 		e.commWg.Add(1)
-		go e.commLoop(n, P*W+i)
+		go e.commLoop(n)
 		for w := 0; w < W; w++ {
 			e.workerWg.Add(1)
 			go e.worker(n, i*W+w)
@@ -401,6 +414,20 @@ func Run(g *runtime.Graph, writes func(id int) TileID, exec func(id int, c *Ctx)
 	for i, n := range e.nodes {
 		st.PerNode[i] = NodeStats{Tasks: int(n.tasksRun.Load()), Busy: time.Duration(n.busyNs.Load())}
 		st.Executed += st.PerNode[i].Tasks
+	}
+	st.Trace = make([]runtime.TaskRecord, 0, st.Executed)
+	for id, r := range e.recs {
+		if r.Worker >= 0 {
+			r.Label = g.Label(id)
+			st.Trace = append(st.Trace, r)
+		}
+	}
+	for i, n := range e.nodes {
+		for _, c := range n.comm {
+			st.Trace = append(st.Trace, runtime.TaskRecord{
+				Label:  fmt.Sprintf("%s(%d,%d)", msgKindNames[c.kind], c.id.M, c.id.N),
+				Worker: P*W + i, Start: c.start, Duration: c.dur, ReadyPop: -1, ReadyEnd: -1})
+		}
 	}
 	e.errMu.Lock()
 	err := e.firstErr
@@ -438,7 +465,6 @@ func (e *engine) wakeAll() {
 // worker is one goroutine of a node's pool.
 func (e *engine) worker(n *node, track int) {
 	defer e.workerWg.Done()
-	wt := e.cfg.Tracer.Worker(track)
 	for {
 		n.mu.Lock()
 		for len(n.ready) == 0 && !e.finished() {
@@ -452,15 +478,13 @@ func (e *engine) worker(n *node, track int) {
 		n.ready = n.ready[:len(n.ready)-1]
 		n.mu.Unlock()
 
-		startedAt := time.Since(e.start)
-		t0 := time.Now()
+		start := time.Since(e.start)
 		err := e.call(int(id), &Ctx{node: n, track: track})
-		d := time.Since(t0)
+		d := time.Since(e.start) - start
 		n.busyNs.Add(int64(d))
 		n.tasksRun.Add(1)
-		if wt != nil {
-			wt.Span(e.g.Label(int(id)), e.g.TaskInfo(int(id)), startedAt, d)
-		}
+		e.recs[id] = runtime.TaskRecord{Worker: track, Start: start, Duration: d,
+			Info: e.g.TaskInfo(int(id)), ReadyPop: -1, ReadyEnd: -1}
 		e.complete(n, id, err)
 	}
 }
@@ -577,13 +601,12 @@ func (e *engine) send(from *node, to int32, m msg, ship bool) {
 
 // commLoop is node n's comm engine: it receives messages, stores
 // payloads into the private store, forwards broadcast subtrees and
-// releases the dependent tasks. One goroutine per node, so it owns its
-// trace track exclusively.
-func (e *engine) commLoop(n *node, track int) {
+// releases the dependent tasks. One goroutine per node, so it owns the
+// node's comm records exclusively.
+func (e *engine) commLoop(n *node) {
 	defer e.commWg.Done()
-	ct := e.cfg.Tracer.Worker(track)
 	for m := range n.inbox {
-		startedAt := time.Since(e.start)
+		start := time.Since(e.start)
 		e.cfg.Comm.Recv(int(n.id), m.payload.Bytes())
 		n.setTile(m.id, m.payload)
 		// Forward before releasing: the payload clone for children must
@@ -602,10 +625,7 @@ func (e *engine) commLoop(n *node, track int) {
 				e.pushReady(n, ready)
 			}
 		}
-		if ct != nil {
-			ct.Span(fmt.Sprintf("%s(%d,%d)", msgKindNames[m.kind], m.id.M, m.id.N),
-				nil, startedAt, time.Since(e.start)-startedAt)
-		}
+		n.comm = append(n.comm, commRecord{kind: m.kind, id: m.id, start: start, dur: time.Since(e.start) - start})
 		e.inflight.Done()
 	}
 }

@@ -41,22 +41,16 @@ type Options struct {
 	// Sequential bypasses the runtime and factorizes in walk order
 	// (reference implementation used for verification).
 	Sequential bool
-	// CollectTrace records per-task execution records in Report.Trace
-	// (parallel path only).
+	// CollectTrace returns the execution's timeline in Report.Trace —
+	// one record per executed task, annotated with its tile
+	// coordinates, ranks and effective flops — and its realized
+	// critical path in Report.CritPath (parallel path only). Off, the
+	// graph carries no annotations.
 	CollectTrace bool
-	// Tracer, if non-nil, receives the execution's structured event
-	// stream: one span per executed task (with tile coordinates, ranks
-	// and effective flops), scheduler counter samples and instant events.
-	// Nil keeps the instrumented paths on their zero-allocation no-op
-	// branches. Parallel path only.
-	Tracer *obs.Tracer
 	// Metrics selects the registry kernel counters record into; nil uses
 	// the process-wide obs.Default. Report carries per-run flop deltas
 	// either way, so sharing a registry across runs is fine.
 	Metrics *obs.Registry
-	// CritPath computes the realized critical path of the executed DAG
-	// into Report.CritPath (parallel path only).
-	CritPath bool
 	// Context, if non-nil, cancels the factorization cooperatively: it
 	// is checked before each panel (sequential path) or each task
 	// (parallel path), and the first ctx error aborts the run through
@@ -98,8 +92,8 @@ type Report struct {
 	summary
 	// Runtime carries the scheduler statistics (parallel path only).
 	Runtime runtime.Stats
-	// Trace holds per-task execution records when Options.CollectTrace
-	// was set.
+	// Trace holds the per-task execution records when
+	// Options.CollectTrace was set.
 	Trace []runtime.TaskRecord
 	// TasksExecuted counts the tasks that ran.
 	TasksExecuted int
@@ -107,7 +101,7 @@ type Report struct {
 	// or obs.Default when that was nil).
 	Metrics *obs.Registry
 	// CritPath is the realized critical-path attribution when
-	// Options.CritPath was set (parallel path only).
+	// Options.CollectTrace was set.
 	CritPath *obs.PathReport
 }
 
@@ -174,27 +168,27 @@ func factorizeShared(m *tilemat.Matrix, opts Options, form tilemat.Form) (Report
 		opts.Metrics = obs.Default
 	}
 	rep := Report{Metrics: opts.Metrics}
+	var g *runtime.Graph
 	sum, err := factorize(obs.TraceFrom(opts.Context), m, form, opts.Trim, opts.Metrics, func(s trim.Structure) error {
 		if opts.Sequential {
 			return sequential(opts.Context, m, s, newFactorization(form, opts.Tol, opts.MaxRank, opts.Metrics))
 		}
-		g, exec := BuildGraph(m, s, opts, form)
+		var exec runtime.Exec
+		g, exec = BuildGraph(m, s, opts, form)
 		st, err := g.Run(opts.Context, opts.Workers, exec)
 		rep.Runtime, rep.TasksExecuted = st, st.Executed
-		if opts.CollectTrace {
-			rep.Trace = g.Trace()
-		}
-		if opts.CritPath {
-			if nodes := g.PathNodes(); len(nodes) > 0 {
-				pr := obs.CriticalPath(nodes)
-				rep.CritPath = &pr
-			}
-		}
 		return err
 	})
 	rep.summary = sum
 	if opts.Sequential {
 		rep.TasksExecuted = sum.tasks()
+	}
+	if g != nil && opts.CollectTrace {
+		rep.Trace = g.Trace()
+		if nodes := g.PathNodes(); len(nodes) > 0 {
+			pr := obs.CriticalPath(nodes)
+			rep.CritPath = &pr
+		}
 	}
 	return rep, err
 }
@@ -279,7 +273,7 @@ func BuildGraph(m *tilemat.Matrix, s trim.Structure, opts Options, form tilemat.
 // runs the same graph on the virtual cluster.
 func buildGraph(s trim.Structure, opts Options, form tilemat.Form) (*runtime.Graph, []trim.Task, factorization) {
 	g := &runtime.Graph{}
-	g.Observe(opts.Tracer)
+	g.Observe()
 	f := newFactorization(form, opts.Tol, opts.MaxRank, opts.Metrics)
 	var tasks []trim.Task
 	trim.Walk(s, func(t trim.Task) {
@@ -292,12 +286,14 @@ func buildGraph(s trim.Structure, opts Options, form tilemat.Form) (*runtime.Gra
 		}
 	})
 	// Span annotations, pre-filled with the tile coordinates, exist only
-	// when a tracer observes the run: the untraced graph keeps Info nil
-	// and allocation-free, on the runtime and on the virtual cluster.
-	if opts.Tracer != nil {
+	// when the run collects its trace: the untraced graph keeps Info nil
+	// and allocation-free.
+	if opts.CollectTrace {
 		g.Info = make([]*obs.SpanInfo, len(tasks))
+		infos := make([]obs.SpanInfo, len(tasks))
 		for id, t := range tasks {
-			g.Info[id] = &obs.SpanInfo{K: int32(t.K), M: int32(t.M), N: int32(t.N)}
+			infos[id] = obs.SpanInfo{K: int32(t.K), M: int32(t.M), N: int32(t.N)}
+			g.Info[id] = &infos[id]
 		}
 	}
 	g.LabelFunc = func(id int) string { return f.label(tasks[id]) }

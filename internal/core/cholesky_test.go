@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"maps"
 	"math"
 	"strings"
@@ -10,6 +12,7 @@ import (
 	"tlrchol/internal/dense"
 	"tlrchol/internal/obs"
 	"tlrchol/internal/rbf"
+	"tlrchol/internal/runtime"
 	"tlrchol/internal/tilemat"
 	"tlrchol/internal/trim"
 )
@@ -313,8 +316,8 @@ func TestInstrumentationSequentialMatchesParallel(t *testing.T) {
 	}
 }
 
-// TestUntracedTasksCarryNoInfo: without a tracer the graph builder must
-// not allocate span annotations (the zero-cost-off contract).
+// TestUntracedTasksCarryNoInfo: without CollectTrace the graph builder
+// must not allocate span annotations (the zero-cost-off contract).
 func TestUntracedTasksCarryNoInfo(t *testing.T) {
 	const tol = 1e-6
 	m, _ := rbfMatrix(t, 512, 64, 2, tol)
@@ -322,7 +325,7 @@ func TestUntracedTasksCarryNoInfo(t *testing.T) {
 	if g.Info != nil {
 		t.Fatalf("untraced graph carries span annotations")
 	}
-	g2, _ := BuildGraph(m, Structure(m, true), Options{Tol: tol, Tracer: obs.NewTracer()}, tilemat.FormCholesky)
+	g2, _ := BuildGraph(m, Structure(m, true), Options{Tol: tol, CollectTrace: true}, tilemat.FormCholesky)
 	withInfo := 0
 	for _, info := range g2.Info {
 		if info != nil {
@@ -331,5 +334,54 @@ func TestUntracedTasksCarryNoInfo(t *testing.T) {
 	}
 	if withInfo != g2.Tasks() {
 		t.Fatalf("traced graph should annotate every task: %d/%d", withInfo, g2.Tasks())
+	}
+}
+
+// TestCollectedTraceCarriesSpanArgs: the Chrome export of a collected
+// factorization annotates every task span with its tile coordinates,
+// ranks and effective flops, and samples the ready queue.
+func TestCollectedTraceCarriesSpanArgs(t *testing.T) {
+	const tol = 1e-6
+	m, _ := rbfMatrix(t, 512, 64, 2, tol)
+	rep, err := Factorize(m, Options{Tol: tol, Trim: true, Workers: 2, CollectTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteChromeTrace(&buf, runtime.Events(rep.Trace), nil); err != nil {
+		t.Fatal(err)
+	}
+	tc, err := obs.ValidateChromeTrace(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tc.Spans != rep.TasksExecuted || tc.Counters != 2*rep.TasksExecuted {
+		t.Fatalf("exported %d spans and %d counters for %d tasks", tc.Spans, tc.Counters, rep.TasksExecuted)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range doc.TraceEvents {
+		if e.Ph != "X" {
+			continue
+		}
+		for _, k := range []string{"k", "m", "n", "rank_in", "rank_out", "flops"} {
+			if _, ok := e.Args[k]; !ok {
+				t.Fatalf("span %s lacks arg %q: %v", e.Name, k, e.Args)
+			}
+		}
+		if e.Args["flops"].(float64) <= 0 {
+			t.Fatalf("span %s carries no flops: %v", e.Name, e.Args)
+		}
+	}
+	if rep.CritPath == nil || len(rep.CritPath.Steps) == 0 {
+		t.Fatalf("collected run carries no critical path")
 	}
 }

@@ -27,9 +27,6 @@ type DistOptions struct {
 	// Remap pairs the data distribution with the execution
 	// distribution (nil Exec: owner-computes).
 	Remap dist.Remap
-	// Tracer, if non-nil, receives compute spans per node worker plus
-	// comm spans on one dedicated track per node.
-	Tracer *obs.Tracer
 	// Comm, if non-nil, accumulates per-node message/byte counters.
 	Comm *obs.CommTracker
 	// Metrics selects the kernel-counter registry (nil: obs.Default).
@@ -40,7 +37,9 @@ type DistOptions struct {
 type DistReport struct {
 	summary
 	// Cluster carries the engine statistics, including the comm
-	// snapshot when DistOptions.Comm was set.
+	// snapshot when DistOptions.Comm was set, and the run's timeline:
+	// compute records annotated as under Options.CollectTrace, and comm
+	// records.
 	Cluster cluster.Stats
 }
 
@@ -60,7 +59,7 @@ func FactorizeDistributed(m *tilemat.Matrix, opts DistOptions) (DistReport, erro
 		return rep, fmt.Errorf("core: DistOptions.Tol must be positive, got %g", opts.Tol)
 	}
 	sum, err := factorize(nil, m, tilemat.FormCholesky, opts.Trim, opts.Metrics, func(s trim.Structure) error {
-		g, tasks, f := buildGraph(s, Options{Tol: opts.Tol, MaxRank: opts.MaxRank, Tracer: opts.Tracer, Metrics: opts.Metrics},
+		g, tasks, f := buildGraph(s, Options{Tol: opts.Tol, MaxRank: opts.MaxRank, CollectTrace: true, Metrics: opts.Metrics},
 			tilemat.FormCholesky)
 		writes := func(id int) cluster.TileID { return cluster.TileID{M: tasks[id].M, N: tasks[id].N} }
 		exec := func(id int, c *cluster.Ctx) error { return f.run(tasks[id], c, c.Shard(), g.TaskInfo(id)) }
@@ -72,7 +71,7 @@ func FactorizeDistributed(m *tilemat.Matrix, opts DistOptions) (DistReport, erro
 		}
 		st, out, err := cluster.Run(g, writes, exec, seed, cluster.Config{
 			Nodes: opts.Nodes, WorkersPerNode: opts.WorkersPerNode,
-			Remap: opts.Remap, Tracer: opts.Tracer, Comm: opts.Comm,
+			Remap: opts.Remap, Comm: opts.Comm,
 		})
 		rep.Cluster = st
 		if err != nil {

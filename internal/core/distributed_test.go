@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"tlrchol/internal/dist"
 	"tlrchol/internal/obs"
+	"tlrchol/internal/runtime"
 	"tlrchol/internal/tilemat"
 	"tlrchol/internal/tlr"
 )
@@ -146,5 +148,58 @@ func TestDistributedSPDFailure(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "potrf") {
 		t.Fatalf("want potrf error, got %v", err)
+	}
+}
+
+// TestDistributedTrace: the virtual cluster returns one compute record
+// per executed task on its node worker's track and one comm record per
+// received message on its node's comm track, and the records export as
+// a valid Chrome trace.
+func TestDistributedTrace(t *testing.T) {
+	const n, b, nodes, workers = 320, 32, 4, 2
+	const tol = 1e-7
+	m, _ := rbfMatrix(t, n, b, 4, tol)
+	remap := remapsUnderTest(nodes)["diamond"]
+	comm := obs.NewCommTracker(nodes)
+	rep, err := FactorizeDistributed(m, DistOptions{
+		Tol: tol, Trim: true, Nodes: nodes, WorkersPerNode: workers, Remap: remap, Comm: comm,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compute, msgs int
+	for _, r := range rep.Cluster.Trace {
+		if r.Worker >= nodes*workers {
+			msgs++
+			if r.Worker >= nodes*workers+nodes || r.Info != nil {
+				t.Fatalf("comm record %+v off the comm tracks", r)
+			}
+			continue
+		}
+		compute++
+		if r.Info == nil {
+			t.Fatalf("compute record %s carries no annotation", r.Label)
+		}
+		// The task runs at the executing rank of the tile it writes.
+		if node := r.Worker / workers; node != remap.ExecRankOf(int(r.Info.M), int(r.Info.N)) {
+			t.Fatalf("%s on track %d, node %d", r.Label, r.Worker, node)
+		}
+	}
+	if tasks := rep.Potrf + rep.Trsm + rep.Syrk + rep.Gemm; compute != tasks || compute != rep.Cluster.Executed {
+		t.Fatalf("%d compute records for %d tasks (%d executed)", compute, tasks, rep.Cluster.Executed)
+	}
+	if recv := rep.Cluster.Comm.Totals().MsgsRecv; msgs == 0 || uint64(msgs) != recv {
+		t.Fatalf("%d comm records for %d received messages", msgs, recv)
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteChromeTrace(&buf, runtime.Events(rep.Cluster.Trace), nil); err != nil {
+		t.Fatal(err)
+	}
+	tc, err := obs.ValidateChromeTrace(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tc.Spans != compute+msgs || tc.Counters != 0 {
+		t.Fatalf("exported %+v for %d records", tc, compute+msgs)
 	}
 }

@@ -142,9 +142,6 @@ func (in *instr) update(c, shard, ka, kb, kc int, out *tlr.Tile, info *obs.SpanI
 		in.rankH.Observe(shard, float64(out.Rank()))
 		if kc == 0 && out.Rank() > 0 {
 			in.fillin.Add(shard, 1)
-			if tr := obs.Active(); tr != nil {
-				tr.Instant("fill_in", int32(shard), float64(out.Rank()))
-			}
 		}
 	}
 	in.record(c, shard, effF, dnsF)

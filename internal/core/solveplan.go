@@ -299,7 +299,6 @@ func (p *SolvePlan) SolveCtx(ctx context.Context, f *tilemat.Matrix, b *dense.Ma
 type sweepRun struct {
 	plan  *sweepPlan
 	f     *tilemat.Matrix
-	tr    *obs.Tracer
 	rt    *obs.ReqTrace
 	trans bool
 	ldlt  bool
@@ -325,12 +324,11 @@ func runSweep(ctx context.Context, sp *sweepPlan, f *tilemat.Matrix, b *dense.Ma
 	// factor or right-hand sides across requests.
 	defer func() {
 		clear(r.segs)
-		r.plan, r.f, r.tr, r.rt = nil, nil, nil, nil
+		r.plan, r.f, r.rt = nil, nil, nil
 		sweepRunPool.Put(r)
 	}()
 	r.plan, r.f, r.trans = sp, f, trans
 	r.ldlt = f.Form == tilemat.FormLDLt
-	r.tr = obs.Active()
 	// Request-scoped span detail: only attach the trace when its span
 	// ring exists, so the warm path with tracing off (or detail off)
 	// keeps r.rt nil and exec skips even the clock reads.
@@ -368,11 +366,6 @@ func (r *sweepRun) exec(id, worker int, ws *dense.Workspace) error {
 		} else {
 			tileMulAcc(r.f.At(i, p), false, -1, &r.segs[p], bi, ws)
 		}
-	}
-	if r.tr != nil {
-		// Level occupancy: one instant per task on the worker's lane,
-		// valued by the task's level set.
-		r.tr.Instant("solve.task", int32(worker), float64(r.plan.level[id]))
 	}
 	if r.rt != nil {
 		// Per-task request span: static names keep this allocation-free;

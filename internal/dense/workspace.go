@@ -60,9 +60,6 @@ func GetWorkspace() *Workspace {
 		wsHits.Add(w.shard, 1)
 	} else {
 		wsMisses.Add(w.shard, 1)
-		if tr := obs.Active(); tr != nil {
-			tr.Instant("pool_miss", -1, 1)
-		}
 	}
 	return w
 }

@@ -9,9 +9,9 @@ import (
 
 // Chrome trace-event export: renders an event stream as the JSON Object
 // Format understood by Perfetto (ui.perfetto.dev) and chrome://tracing —
-// one track ("thread") per worker for task spans, counter tracks for
-// sampled scheduler values, and instant markers. Timestamps are
-// microseconds from the trace origin.
+// one track ("thread") per worker for task spans and counter tracks for
+// sampled scheduler values. Timestamps are microseconds from the trace
+// origin.
 
 type chromeEvent struct {
 	Name string         `json:"name"`
@@ -21,7 +21,6 @@ type chromeEvent struct {
 	Dur  *float64       `json:"dur,omitempty"`
 	Pid  int            `json:"pid"`
 	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
 	Args map[string]any `json:"args,omitempty"`
 }
 
@@ -77,9 +76,9 @@ func WriteChromeTrace(w io.Writer, events []Event, meta map[string]any) error {
 		case e.Worker >= 0:
 			addThread(int(e.Worker), fmt.Sprintf("worker %d", e.Worker))
 		case e.Kind != KindCounter:
-			// Spans and instants without a worker (request phases,
-			// background events) share one named track; counters render
-			// as counter tracks and need no thread metadata.
+			// Spans without a worker (request phases) share one named
+			// track; counters render as counter tracks and need no
+			// thread metadata.
 			addThread(bg, "background")
 		}
 	}
@@ -106,11 +105,6 @@ func WriteChromeTrace(w io.Writer, events []Event, meta map[string]any) error {
 				Name: e.Name, Ph: "C", Ts: usec(int64(e.Start)), Pid: 0, Tid: tid(e.Worker),
 				Args: map[string]any{"value": e.Value},
 			})
-		case KindInstant:
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: e.Name, Ph: "i", Ts: usec(int64(e.Start)), Pid: 0, Tid: tid(e.Worker),
-				S: "t", Args: map[string]any{"value": e.Value},
-			})
 		}
 	}
 
@@ -121,9 +115,9 @@ func WriteChromeTrace(w io.Writer, events []Event, meta map[string]any) error {
 
 // TraceCheck summarizes a validated Chrome trace file.
 type TraceCheck struct {
-	// Spans, Counters, Instants count events by phase; Workers is the
-	// number of distinct named worker tracks.
-	Spans, Counters, Instants, Workers int
+	// Spans and Counters count events by phase; Workers is the number
+	// of distinct named worker tracks.
+	Spans, Counters, Workers int
 }
 
 // ValidateChromeTrace parses data as Chrome trace-event JSON and checks
@@ -170,8 +164,6 @@ func ValidateChromeTrace(data []byte) (TraceCheck, error) {
 			workers[e.Tid] = true
 		case "C":
 			tc.Counters++
-		case "i":
-			tc.Instants++
 		default:
 			return tc, fmt.Errorf("obs: event %d (%s) has unknown phase %q", i, e.Name, e.Ph)
 		}

@@ -18,7 +18,6 @@ func fixtureEvents() []Event {
 		{Kind: KindCounter, Name: "ready_queue", Worker: -1, Start: 200 * time.Microsecond, Value: 3},
 		{Kind: KindSpan, Name: "trsm(0,1)", Worker: 1, Start: 1500 * time.Microsecond, Dur: 800 * time.Microsecond,
 			Info: SpanInfo{K: 0, M: 1, N: 0, RankIn: 17, RankOut: 17, Flops: 278528}, HasInfo: true},
-		{Kind: KindInstant, Name: "pool_miss", Worker: -1, Start: 1600 * time.Microsecond, Value: 1},
 		{Kind: KindSpan, Name: "gemm(0,2,1)", Worker: 0, Start: 2300 * time.Microsecond, Dur: 400 * time.Microsecond,
 			Info: SpanInfo{K: 0, M: 2, N: 1, RankIn: 0, RankOut: 9, Flops: 99999}, HasInfo: true},
 	}
@@ -54,7 +53,7 @@ func TestChromeTraceValidates(t *testing.T) {
 	var buf bytes.Buffer
 	// Feed events deliberately out of order: the exporter must sort.
 	evs := fixtureEvents()
-	evs[0], evs[4] = evs[4], evs[0]
+	evs[0], evs[3] = evs[3], evs[0]
 	if err := WriteChromeTrace(&buf, evs, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +61,7 @@ func TestChromeTraceValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tc.Spans != 3 || tc.Counters != 1 || tc.Instants != 1 || tc.Workers != 2 {
+	if tc.Spans != 3 || tc.Counters != 1 || tc.Workers != 2 {
 		t.Fatalf("trace check wrong: %+v", tc)
 	}
 }
@@ -73,9 +72,9 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		"empty":         `{"traceEvents": []}`,
 		"nameless":      `{"traceEvents": [{"ph":"X","ts":0,"dur":1,"tid":0}]}`,
 		"bad phase":     `{"traceEvents": [{"name":"a","ph":"Z","ts":0}]}`,
-		"negative ts":   `{"traceEvents": [{"name":"a","ph":"i","ts":-1}]}`,
+		"negative ts":   `{"traceEvents": [{"name":"a","ph":"C","ts":-1}]}`,
 		"span sans dur": `{"traceEvents": [{"name":"a","ph":"X","ts":0}]}`,
-		"non-monotonic": `{"traceEvents": [{"name":"a","ph":"i","ts":5},{"name":"b","ph":"i","ts":1}]}`,
+		"non-monotonic": `{"traceEvents": [{"name":"a","ph":"C","ts":5},{"name":"b","ph":"C","ts":1}]}`,
 		"orphan track":  `{"traceEvents": [{"name":"a","ph":"X","ts":0,"dur":1,"tid":7}]}`,
 	}
 	for name, doc := range cases {

@@ -1,19 +1,20 @@
 // Package obs is the observability layer of the TLR Cholesky
-// framework: structured event tracing, a sharded metrics registry and
-// critical-path attribution over executed task DAGs. It reproduces the
+// framework: the event stream that task timelines render from, a
+// sharded metrics registry, critical-path attribution over executed
+// task DAGs, request traces and a flight recorder. It reproduces the
 // instrumentation lens the paper's authors get from their companion
 // ProTools tooling — per-worker timelines, per-class breakdowns,
-// rank/memory statistics and critical-path stalls — as a first-class
-// subsystem the runtime, the kernels and the CLIs all thread through.
+// rank/memory statistics and critical-path stalls.
 //
-// The layer is built to cost nothing when it is off: every tracer entry
-// point is nil-safe (a nil *Tracer or *WorkerTracer is a no-op that
-// performs zero allocations), and metric increments are single atomic
-// adds into cache-line-padded per-worker shards. When tracing is on,
-// span events go into per-worker buffers written only by their owning
-// worker (no locks), and instant events from arbitrary goroutines go
-// into a fixed-capacity lock-free ring claimed with one atomic
-// increment. Everything is flushed and merged post-run.
+// A factorization's timeline is recorded in one place: the executors
+// (package runtime, the virtual cluster and the simulator) keep one
+// record per executed task, and runtime.Events turns the records into
+// this package's events after the run has joined. The views here —
+// Summarize, Gantt and the Chrome exporter — render any event stream,
+// so shared-memory, distributed and simulated runs print alike.
+//
+// Metrics cost one atomic add into a cache-line-padded per-worker
+// shard, so the kernels record them on every run.
 //
 // obs depends only on the standard library so every other package —
 // the runtime, the dense kernels, the tile containers — can import it
@@ -21,9 +22,9 @@
 package obs
 
 import (
+	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
@@ -33,18 +34,16 @@ type Kind uint8
 const (
 	// KindSpan is a task execution interval (start + duration).
 	KindSpan Kind = iota
-	// KindInstant is a point event (pool miss, fill-in creation).
-	KindInstant
 	// KindCounter is a sampled counter value (ready-queue depth),
 	// rendered as a counter track by the Chrome trace exporter.
 	KindCounter
 )
 
 // SpanInfo carries the kernel-level annotations of one task span: tile
-// coordinates, ranks in/out and the effective flop count. The runtime
-// copies it into the span event at task completion; graph builders
-// attach it to tasks only when a tracer is active, so the untraced path
-// never allocates it.
+// coordinates, ranks in/out and the effective flop count. Graph
+// builders attach one to each task only when the run collects its
+// trace, and the task body fills it in; the task's record carries it
+// into the span event, so the untraced path never allocates it.
 type SpanInfo struct {
 	// K, M, N are the task's tile coordinates (panel, row, column).
 	K, M, N int32
@@ -58,16 +57,16 @@ type SpanInfo struct {
 // Event is one entry of the trace stream.
 type Event struct {
 	Kind Kind
-	// Name is the task label for spans ("gemm(3,5,1)") or the event
-	// name for instants and counters ("pool_miss", "ready_queue").
+	// Name is the task label for spans ("gemm(3,5,1)") or the counter
+	// name ("ready_queue").
 	Name string
 	// Worker is the worker/process track the event belongs to; -1 means
 	// no particular worker (background/shared events).
 	Worker int32
 	// Start is the offset from the trace origin; Dur is the span
-	// duration (zero for instants and counters).
+	// duration (zero for counters).
 	Start, Dur time.Duration
-	// Value is the counter sample or instant payload.
+	// Value is the counter sample.
 	Value float64
 	// Info holds kernel annotations when HasInfo is set.
 	Info    SpanInfo
@@ -83,162 +82,136 @@ func ClassOf(label string) string {
 	return label
 }
 
-// WorkerTracer is the per-worker event buffer. It is owned by exactly
-// one worker goroutine: appends are unsynchronized and therefore free
-// of lock traffic; the tracer merges all buffers after the run joins.
-type WorkerTracer struct {
-	id     int32
-	events []Event
+// ClassStat aggregates the spans of one task class.
+type ClassStat struct {
+	Class string
+	Count int
+	Total time.Duration
+	Max   time.Duration
 }
 
-// Span records a completed task execution. Safe on a nil receiver
-// (no-op, zero allocations).
-func (w *WorkerTracer) Span(name string, info *SpanInfo, start, dur time.Duration) {
-	if w == nil {
-		return
-	}
-	e := Event{Kind: KindSpan, Name: name, Worker: w.id, Start: start, Dur: dur}
-	if info != nil {
-		e.Info, e.HasInfo = *info, true
-	}
-	w.events = append(w.events, e)
+// Summary is the per-track utilization and per-class time breakdown of
+// one event stream.
+type Summary struct {
+	Makespan time.Duration
+	Workers  int
+	// Utilization is per-track busy fraction of the makespan.
+	Utilization []float64
+	Classes     []ClassStat
 }
 
-// Instant records a point event on this worker's track. Safe on nil.
-func (w *WorkerTracer) Instant(name string, ts time.Duration, value float64) {
-	if w == nil {
-		return
-	}
-	w.events = append(w.events, Event{Kind: KindInstant, Name: name, Worker: w.id, Start: ts, Value: value})
-}
-
-// defaultRingCap bounds the shared instant-event ring. Events past the
-// capacity are counted in Dropped rather than recorded.
-const defaultRingCap = 1 << 14
-
-// Tracer collects one execution's event stream: per-worker span
-// buffers, a scheduler event list (serialized by the scheduler's own
-// lock) and a lock-free shared ring for instant events from arbitrary
-// goroutines. All entry points are safe on a nil *Tracer.
-type Tracer struct {
-	t0      time.Time
-	workers []*WorkerTracer
-	sched   []Event
-	ring    []Event
-	cur     atomic.Int64
-	dropped atomic.Int64
-}
-
-// NewTracer returns an idle tracer. StartAt must be called (the runtime
-// does it) before workers are handed their buffers.
-func NewTracer() *Tracer {
-	return &Tracer{t0: time.Now(), ring: make([]Event, defaultRingCap)}
-}
-
-// StartAt fixes the trace origin and sizes the per-worker buffers.
-// Safe on nil.
-func (t *Tracer) StartAt(t0 time.Time, workers int) {
-	if t == nil {
-		return
-	}
-	t.t0 = t0
-	t.workers = make([]*WorkerTracer, workers)
-	for i := range t.workers {
-		t.workers[i] = &WorkerTracer{id: int32(i)}
-	}
-}
-
-// Worker returns worker w's event buffer, or nil when the tracer is
-// nil or w is out of range — callers hold the returned value and call
-// its nil-safe methods without further checks.
-func (t *Tracer) Worker(w int) *WorkerTracer {
-	if t == nil || w < 0 || w >= len(t.workers) {
-		return nil
-	}
-	return t.workers[w]
-}
-
-// Now returns the offset from the trace origin. Safe on nil (zero).
-func (t *Tracer) Now() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Since(t.t0)
-}
-
-// Instant records a point event from any goroutine into the shared
-// lock-free ring: one atomic increment claims a slot, no locks. When
-// the ring is full the event is dropped and counted. Safe on nil.
-func (t *Tracer) Instant(name string, worker int32, value float64) {
-	if t == nil {
-		return
-	}
-	i := t.cur.Add(1) - 1
-	if i >= int64(len(t.ring)) {
-		t.dropped.Add(1)
-		return
-	}
-	t.ring[i] = Event{Kind: KindInstant, Name: name, Worker: worker, Start: t.Now(), Value: value}
-}
-
-// SchedCounter records a counter sample (e.g. ready-queue depth) from
-// the scheduler. Calls must be serialized by the caller (the runtime
-// emits them under its scheduler lock). Safe on nil.
-func (t *Tracer) SchedCounter(name string, ts time.Duration, value float64) {
-	if t == nil {
-		return
-	}
-	t.sched = append(t.sched, Event{Kind: KindCounter, Name: name, Worker: -1, Start: ts, Value: value})
-}
-
-// Dropped returns the number of instant events lost to ring overflow.
-// Safe on nil.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped.Load()
-}
-
-// Events merges and time-orders the full stream. It must be called
-// after the traced execution has joined all its goroutines (the
-// runtime's Run has returned); the buffers are not synchronized for
-// concurrent readers. Safe on nil (returns nil).
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	n := t.cur.Load()
-	if n > int64(len(t.ring)) {
-		n = int64(len(t.ring))
-	}
-	var out []Event
-	for _, w := range t.workers {
-		out = append(out, w.events...)
-	}
-	out = append(out, t.sched...)
-	out = append(out, t.ring[:n]...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
+// Summarize analyzes the span events of a stream (counters are
+// ignored). The output is deterministic for a given stream: per-track
+// rows are indexed by track and class stats are totally ordered
+// (busiest first, class name breaking ties), so repeated analyses of
+// one trace render identically.
+func Summarize(events []Event) Summary {
+	var s Summary
+	maxW := -1
+	classes := map[string]*ClassStat{}
+	for _, e := range events {
+		if e.Kind != KindSpan {
+			continue
 		}
-		return out[i].Worker < out[j].Worker
+		s.Makespan = max(s.Makespan, e.Start+e.Dur)
+		maxW = max(maxW, int(e.Worker))
+		c := ClassOf(e.Name)
+		cs := classes[c]
+		if cs == nil {
+			cs = &ClassStat{Class: c}
+			classes[c] = cs
+		}
+		cs.Count++
+		cs.Total += e.Dur
+		cs.Max = max(cs.Max, e.Dur)
+	}
+	s.Workers = maxW + 1
+	busy := make([]time.Duration, s.Workers)
+	for _, e := range events {
+		if e.Kind == KindSpan && e.Worker >= 0 {
+			busy[e.Worker] += e.Dur
+		}
+	}
+	s.Utilization = make([]float64, s.Workers)
+	for w := range s.Utilization {
+		if s.Makespan > 0 {
+			s.Utilization[w] = float64(busy[w]) / float64(s.Makespan)
+		}
+	}
+	s.Classes = make([]ClassStat, 0, len(classes))
+	for _, cs := range classes {
+		s.Classes = append(s.Classes, *cs)
+	}
+	sort.Slice(s.Classes, func(i, j int) bool {
+		if s.Classes[i].Total != s.Classes[j].Total {
+			return s.Classes[i].Total > s.Classes[j].Total
+		}
+		return s.Classes[i].Class < s.Classes[j].Class
 	})
-	return out
+	return s
 }
 
-// active is the process-wide tracer hook for instrumentation sites that
-// have no tracer handle threaded to them (the dense workspace pool).
-var active atomic.Pointer[Tracer]
+// String renders the summary.
+func (s Summary) String() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "makespan %v, %d workers\n", s.Makespan.Round(time.Microsecond), s.Workers)
+	for w, u := range s.Utilization {
+		fmt.Fprintf(&sb, "  worker %d: %5.1f%% busy\n", w, 100*u)
+	}
+	for _, c := range s.Classes {
+		fmt.Fprintf(&sb, "  %-8s %6d tasks  total %v  max %v\n",
+			c.Class, c.Count, c.Total.Round(time.Microsecond), c.Max.Round(time.Microsecond))
+	}
+	return sb.String()
+}
 
-// Activate publishes tr as the process-wide active tracer. Pass the
-// tracer around explicitly where you can; Activate exists for leaf
-// packages whose call signatures predate tracing.
-func Activate(tr *Tracer) { active.Store(tr) }
-
-// Deactivate clears the process-wide tracer.
-func Deactivate() { active.Store(nil) }
-
-// Active returns the process-wide tracer, or nil. The lookup is one
-// atomic load, cheap enough for hot paths.
-func Active() *Tracer { return active.Load() }
+// Gantt renders the span events of a stream as an ASCII timeline: one
+// row per track, width columns, each cell showing the class initial of
+// the task occupying that time slot ('.' = idle). Useful for eyeballing
+// pipeline stalls and critical-path bubbles.
+//
+// Every span paints at least one cell: a zero-duration task (or one
+// shorter than a column) shows as a single mark rather than vanishing,
+// and a task starting at the very end of the makespan lands in the last
+// column instead of being clamped off the chart.
+func Gantt(events []Event, width int) string {
+	width = max(width, 10)
+	var makespan time.Duration
+	maxW := 0
+	for _, e := range events {
+		if e.Kind != KindSpan || e.Worker < 0 {
+			continue
+		}
+		makespan = max(makespan, e.Start+e.Dur)
+		maxW = max(maxW, int(e.Worker))
+	}
+	if makespan == 0 {
+		return ""
+	}
+	rows := make([][]byte, maxW+1)
+	for i := range rows {
+		rows[i] = []byte(strings.Repeat(".", width))
+	}
+	for _, e := range events {
+		if e.Kind != KindSpan || e.Worker < 0 {
+			continue
+		}
+		ch := byte('?')
+		if c := ClassOf(e.Name); len(c) > 0 {
+			ch = c[0]
+		}
+		// Clamp into [0, width) and guarantee at least one cell: a span
+		// starting exactly at the makespan would otherwise compute
+		// from == width and paint nothing.
+		from := min(int(int64(e.Start)*int64(width)/int64(makespan)), width-1)
+		to := max(min(int(int64(e.Start+e.Dur)*int64(width)/int64(makespan)), width-1), from)
+		for x := from; x <= to; x++ {
+			rows[e.Worker][x] = ch
+		}
+	}
+	var sb strings.Builder
+	for w, row := range rows {
+		fmt.Fprintf(&sb, "w%-2d |%s|\n", w, row)
+	}
+	return sb.String()
+}

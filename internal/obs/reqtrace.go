@@ -7,16 +7,16 @@ import (
 	"time"
 )
 
-// Request-scoped tracing. The process-global Tracer answers "what did
-// this factorization do"; ReqTrace answers the serving question "why
-// was *this request* slow". Every request of the solve service gets a
+// Request-scoped tracing. A factorization's task records answer "what
+// did this factorization do"; ReqTrace answers the serving question
+// "why was *this request* slow". Every request of the solve service gets a
 // ReqTrace carrying a unique id, a latency breakdown (coarse phases:
 // queue, factor wait, batch window, substitution, ...) and — when span
 // detail is enabled — a fixed-capacity lock-free span ring written by
 // whichever goroutines do the request's work: the handler, the batch
 // leader, the solve-plan workers, the factorization build.
 //
-// The design repeats the WorkerTracer economics at request scope:
+// The design keeps the untraced path free:
 //   - every entry point is nil-safe, so instrumented code never
 //     branches on "is tracing on" — it just calls;
 //   - with span detail off (spans == nil) Span is a two-compare no-op

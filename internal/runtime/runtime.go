@@ -71,9 +71,9 @@ type Graph struct {
 	// AccessFunc, if set, declares the data task id reads and writes,
 	// for the hazard replay of package verify.
 	AccessFunc func(id int) []Access
-	// Info, if set, holds one span annotation per task for traced runs
-	// (nil entries emit bare spans). A task may fill its entry in: the
-	// span is emitted after the task completes.
+	// Info, if set, holds one span annotation per task, which the task
+	// body may fill in; each task's record points at its entry (nil
+	// entries give bare spans).
 	Info []*obs.SpanInfo
 
 	prio  []int64
@@ -84,16 +84,16 @@ type Graph struct {
 	sealed, backward             bool
 
 	observed bool
-	tracer   *obs.Tracer
 	recs     []record // per task, of the last observed run
 }
 
 type edge struct{ from, to int32 }
 
 type record struct {
-	ran        bool
-	worker     int32
-	start, dur time.Duration
+	ran                bool
+	worker             int32
+	start, dur         time.Duration
+	readyPop, readyEnd int32
 }
 
 // Add appends a task of the given priority (higher runs first) and
@@ -183,11 +183,11 @@ func (g *Graph) seal() {
 	g.edges, g.sealed = nil, true
 }
 
-// Observe makes Run time every task, for Stats.BusyTime, Trace and
-// PathNodes, and with a non-nil tracer emit a span per task (into the
-// worker's lock-free buffer) and ready-queue depth samples. Unobserved
-// runs read no clock per task.
-func (g *Graph) Observe(tr *obs.Tracer) { g.observed, g.tracer = true, tr }
+// Observe makes Run record every task, for Stats.BusyTime, Trace and
+// PathNodes: its worker, its times and the ready-queue depth when it
+// was popped and after it released its successors. Unobserved runs read
+// no clock per task.
+func (g *Graph) Observe() { g.observed = true }
 
 // Stats reports what happened during Run.
 type Stats struct {
@@ -235,7 +235,6 @@ func (g *Graph) Run(ctx context.Context, workers int, exec Exec) (Stats, error) 
 	r.start, r.maxReady, r.pending = time.Now(), 0, len(g.prio)
 	r.busy.Store(0)
 	if g.observed {
-		g.tracer.StartAt(r.start, workers)
 		g.recs = make([]record, len(g.prio))
 	}
 	r.deps = append(r.deps[:0], g.ndeps...)
@@ -317,7 +316,6 @@ func (r *run) work(w int) {
 	ws := dense.GetWorkspace()
 	defer ws.Release()
 	g := r.g
-	wt := g.tracer.Worker(w)
 	for {
 		r.mu.Lock()
 		for len(r.ready) == 0 && r.pending > 0 && r.err == nil {
@@ -329,7 +327,7 @@ func (r *run) work(w int) {
 		}
 		t := r.ready[len(r.ready)-1]
 		r.ready = r.ready[:len(r.ready)-1]
-		r.sample()
+		popped := int32(len(r.ready))
 		r.mu.Unlock()
 
 		if r.ctx != nil && r.ctx.Err() != nil {
@@ -343,11 +341,8 @@ func (r *run) work(w int) {
 		err := r.call(t, w, ws)
 		if g.observed {
 			dur := time.Since(r.start) - start
-			g.recs[t] = record{ran: true, worker: int32(w), start: start, dur: dur}
+			g.recs[t] = record{ran: true, worker: int32(w), start: start, dur: dur, readyPop: popped, readyEnd: popped}
 			r.busy.Add(int64(dur))
-			if wt != nil {
-				wt.Span(g.Label(int(t)), g.TaskInfo(int(t)), start, dur)
-			}
 		}
 		ws.Reset()
 		r.deps[t] = -1
@@ -366,6 +361,9 @@ func (r *run) work(w int) {
 		r.mu.Lock()
 		r.pending--
 		done := r.pending == 0
+		if g.observed {
+			g.recs[t].readyEnd = int32(len(r.ready))
+		}
 		r.mu.Unlock()
 		if done {
 			r.cond.Broadcast()
@@ -398,7 +396,6 @@ func (r *run) fail(err error) {
 func (r *run) pushLocked(t int32) {
 	r.ready = r.g.InsertReady(r.ready, t)
 	r.maxReady = max(r.maxReady, len(r.ready))
-	r.sample()
 }
 
 // InsertReady inserts task t into a ready list whose last entry runs
@@ -415,19 +412,25 @@ func (g *Graph) InsertReady(ready []int32, t int32) []int32 {
 	return slices.Insert(ready, i, t)
 }
 
-// sample records the ready-queue depth on a traced run.
-func (r *run) sample() {
-	if tr := r.g.tracer; tr != nil {
-		tr.SchedCounter("ready_queue", time.Since(r.start), float64(len(r.ready)))
-	}
-}
-
-// TaskRecord is one executed task in a trace.
+// TaskRecord is one executed task, or one message a virtual-cluster
+// node processed, on an execution's timeline. Every executor returns
+// these: this package's Graph.Trace, the virtual cluster and the
+// simulator.
 type TaskRecord struct {
-	Label    string
+	Label string
+	// Worker is the track: the worker, a cluster node's worker or comm
+	// engine, or a simulated process.
 	Worker   int
 	Start    time.Duration
 	Duration time.Duration
+	// Info is the task's span annotation, nil without one. It is the
+	// graph's entry, so a later run of the graph rewrites it.
+	Info *obs.SpanInfo
+	// ReadyPop and ReadyEnd are the ready-queue depths when the task
+	// was popped and after it released its successors; -1 where the
+	// executor keeps no single ready queue (the virtual cluster, the
+	// simulator).
+	ReadyPop, ReadyEnd int32
 }
 
 // Trace returns the tasks that ran in the last observed run, by id.
@@ -435,7 +438,30 @@ func (g *Graph) Trace() []TaskRecord {
 	var out []TaskRecord
 	for t, rec := range g.recs {
 		if rec.ran {
-			out = append(out, TaskRecord{Label: g.Label(t), Worker: int(rec.worker), Start: rec.start, Duration: rec.dur})
+			out = append(out, TaskRecord{Label: g.Label(t), Worker: int(rec.worker), Start: rec.start, Duration: rec.dur,
+				Info: g.TaskInfo(t), ReadyPop: rec.readyPop, ReadyEnd: rec.readyEnd})
+		}
+	}
+	return out
+}
+
+// Events converts records into the span events of package obs, one per
+// record with its annotation, plus a "ready_queue" counter sample at
+// each task's start and end where the record has the depths. Every
+// timeline view renders through it: obs.Summarize, obs.Gantt and
+// obs.WriteChromeTrace.
+func Events(recs []TaskRecord) []obs.Event {
+	out := make([]obs.Event, 0, len(recs))
+	for _, r := range recs {
+		e := obs.Event{Kind: obs.KindSpan, Name: r.Label, Worker: int32(r.Worker), Start: r.Start, Dur: r.Duration}
+		if r.Info != nil {
+			e.Info, e.HasInfo = *r.Info, true
+		}
+		out = append(out, e)
+		if r.ReadyPop >= 0 {
+			out = append(out,
+				obs.Event{Kind: obs.KindCounter, Name: "ready_queue", Worker: -1, Start: r.Start, Value: float64(r.ReadyPop)},
+				obs.Event{Kind: obs.KindCounter, Name: "ready_queue", Worker: -1, Start: r.Start + r.Duration, Value: float64(r.ReadyEnd)})
 		}
 	}
 	return out

@@ -269,7 +269,7 @@ func TestBusyTimeAccumulates(t *testing.T) {
 			return nil
 		})
 	}
-	g.Observe(nil) // busy time needs the per-task clock
+	g.Observe() // busy time needs the per-task clock
 	st, err := g.run(2)
 	if err != nil {
 		t.Fatal(err)
@@ -324,8 +324,8 @@ func TestPanicIsContained(t *testing.T) {
 }
 
 // obsTestGraph builds a small diamond DAG with sleeping bodies, runs it
-// under a tracer and returns the graph, stats and tracer.
-func obsTestGraph(t *testing.T, workers int) (*testGraph, Stats, *obs.Tracer) {
+// observed and returns the graph and stats.
+func obsTestGraph(t *testing.T, workers int) (*testGraph, Stats) {
 	t.Helper()
 	g := newTestGraph()
 	work := func() error { time.Sleep(time.Millisecond); return nil }
@@ -337,22 +337,22 @@ func obsTestGraph(t *testing.T, workers int) (*testGraph, Stats, *obs.Tracer) {
 	g.Dep(a, c)
 	g.Dep(b, d)
 	g.Dep(c, d)
-	tr := obs.NewTracer()
-	g.Observe(tr)
+	g.Observe()
 	st, err := g.run(workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g, st, tr
+	return g, st
 }
 
-// TestObserveEmitsSpans: a traced run emits exactly one span per
-// executed task, with the ready-queue counter track alongside.
+// TestObserveEmitsSpans: an observed run's records convert to exactly
+// one span per executed task, with the ready-queue counter track
+// alongside.
 func TestObserveEmitsSpans(t *testing.T) {
-	_, st, tr := obsTestGraph(t, 2)
+	g, st := obsTestGraph(t, 2)
 	spans, counters := 0, 0
 	labels := map[string]bool{}
-	for _, e := range tr.Events() {
+	for _, e := range Events(g.Trace()) {
 		switch e.Kind {
 		case obs.KindSpan:
 			spans++
@@ -370,8 +370,8 @@ func TestObserveEmitsSpans(t *testing.T) {
 	if !labels["potrf(0)"] || !labels["syrk(0,1)"] {
 		t.Fatalf("span labels missing: %v", labels)
 	}
-	// Every push and pop samples the queue depth: at least one of each
-	// per task.
+	// Every task samples the queue depth when it is popped and after it
+	// released its successors.
 	if counters < 2*st.Executed {
 		t.Fatalf("too few ready-queue samples: %d", counters)
 	}
@@ -380,19 +380,24 @@ func TestObserveEmitsSpans(t *testing.T) {
 // TestMaxReadyHighWater: a graph whose source releases two tasks at
 // once must report a ready-queue high-water mark of at least 2.
 func TestMaxReadyHighWater(t *testing.T) {
-	_, st, _ := obsTestGraph(t, 1)
+	g, st := obsTestGraph(t, 1)
 	if st.MaxReady < 2 {
 		t.Fatalf("diamond fan-out should reach MaxReady >= 2, got %d", st.MaxReady)
 	}
 	if st.MaxReady > 4 {
 		t.Fatalf("MaxReady %d exceeds task count", st.MaxReady)
 	}
+	// On one worker the source pops an empty queue and leaves both
+	// panels ready behind it.
+	if r := g.Trace()[0]; r.Label != "potrf(0)" || r.ReadyPop != 0 || r.ReadyEnd != 2 {
+		t.Fatalf("source record depths wrong: %+v", r)
+	}
 }
 
 // TestPathNodes: the exported executed DAG carries the realized
 // schedule and the full predecessor structure.
 func TestPathNodes(t *testing.T) {
-	g, st, _ := obsTestGraph(t, 2)
+	g, st := obsTestGraph(t, 2)
 	nodes := g.PathNodes()
 	if len(nodes) != st.Executed {
 		t.Fatalf("%d nodes for %d executed tasks", len(nodes), st.Executed)
@@ -433,7 +438,7 @@ func TestPathNodesDropsAborted(t *testing.T) {
 	a := g.task("a", 0, func() error { return errors.New("boom") })
 	b := g.task("b", 0, nil)
 	g.Dep(a, b)
-	g.Observe(nil)
+	g.Observe()
 	if _, err := g.run(1); err == nil {
 		t.Fatal("expected error")
 	}
@@ -444,7 +449,7 @@ func TestPathNodesDropsAborted(t *testing.T) {
 }
 
 // TestTaskInfoReachesSpan: a task's Info annotation, filled in by the
-// body during execution, is copied into its span event.
+// body during execution, reaches its record and its span event.
 func TestTaskInfoReachesSpan(t *testing.T) {
 	g := newTestGraph()
 	info := &obs.SpanInfo{K: 0, M: 2, N: 1}
@@ -454,12 +459,14 @@ func TestTaskInfoReachesSpan(t *testing.T) {
 		return nil
 	})
 	g.Info = []*obs.SpanInfo{info}
-	tr := obs.NewTracer()
-	g.Observe(tr)
+	g.Observe()
 	if _, err := g.run(1); err != nil {
 		t.Fatal(err)
 	}
-	evs := tr.Events()
+	if recs := g.Trace(); len(recs) != 1 || recs[0].Info != info {
+		t.Fatalf("record lost its info: %+v", recs)
+	}
+	evs := Events(g.Trace())
 	var span *obs.Event
 	for i := range evs {
 		if evs[i].Kind == obs.KindSpan {
@@ -569,5 +576,29 @@ func TestWarmRunAllocatesNothing(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, run); allocs > 0 {
 		t.Fatalf("warm run allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestEndToEndWithRuntime: an observed run's records render through the
+// obs timeline views.
+func TestEndToEndWithRuntime(t *testing.T) {
+	labels := []string{"potrf(0)", "trsm(0,1)"}
+	g := &Graph{LabelFunc: func(id int) string { return labels[id] }}
+	g.Dep(g.Add(2), g.Add(1))
+	g.Observe()
+	sleep := func(int, int, *dense.Workspace) error { time.Sleep(time.Millisecond); return nil }
+	if _, err := g.Run(context.Background(), 2, sleep); err != nil {
+		t.Fatal(err)
+	}
+	recs := g.Trace()
+	if len(recs) != 2 {
+		t.Fatalf("expected 2 records, got %d", len(recs))
+	}
+	evs := Events(recs)
+	if s := obs.Summarize(evs); s.Makespan < 2*time.Millisecond {
+		t.Fatalf("makespan too small: %v", s.Makespan)
+	}
+	if obs.Gantt(evs, 30) == "" {
+		t.Fatalf("gantt should render")
 	}
 }

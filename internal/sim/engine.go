@@ -323,6 +323,7 @@ func runEventLoop(g *runtime.Graph, tasks []simTask, w Workload, cfg Config, res
 					Worker:   int(p),
 					Start:    time.Duration((start + overhead) * 1e9),
 					Duration: time.Duration(tasks[id].cost * 1e9),
+					ReadyPop: -1, ReadyEnd: -1,
 				})
 			}
 			push(event{t: start + overhead + tasks[id].cost, proc: p, finish: id})

@@ -102,16 +102,24 @@ echo "== observability smoke gate"
 # The tracing-off hot path must stay allocation-free, a parallel
 # factorization must allocate at most 1.5x the sequential one (the task
 # executor costs nothing per task), a traced run must export a valid
-# Chrome trace covering every executed task, and the CLI's static check
-# must pass.
+# Chrome trace with exactly one span per executed task, and the CLI's
+# static check must pass.
 go test -run 'TestDisabledHotPathZeroAlloc' ./internal/obs
 go test -run 'TestFactorizeAllocs' ./internal/core
 go test -run 'TestObsSmoke' .
+# trace_spans and trace_tasks read a tlrchol run's "trace: N spans" and
+# "data sparsity: N tasks executed" lines.
+trace_spans() { sed -n 's/^trace: \([0-9]*\) spans .*/\1/p' <<< "$1"; }
+trace_tasks() { sed -n 's/^data sparsity: \([0-9]*\) tasks executed.*/\1/p' <<< "$1"; }
 obs_trace="$(mktemp /tmp/tlrchol-trace.XXXXXX.json)"
 tmp_files+=("$obs_trace")
-go run ./cmd/tlrchol -n 1024 -b 128 -verify=false -trace-out "$obs_trace" > /dev/null
+obs_out="$(go run ./cmd/tlrchol -n 1024 -b 128 -verify=false -trace-out "$obs_trace")"
 grep -q '"traceEvents"' "$obs_trace" || {
     echo "check.sh: trace-out produced no traceEvents" >&2; exit 1; }
+spans="$(trace_spans "$obs_out")"
+tasks="$(trace_tasks "$obs_out")"
+[ -n "$spans" ] && [ "$spans" = "$tasks" ] || {
+    echo "check.sh: trace-out exported ${spans:-no} spans for ${tasks:-no} executed tasks" >&2; echo "$obs_out" >&2; exit 1; }
 # The static verifier's CLI path: tlrchol -check must prove the trimmed
 # structure sound and the factorization graph acyclic and
 # hazard-complete before it executes.
@@ -123,9 +131,17 @@ echo "== distributed execution gate"
 # The virtual cluster must reproduce the shared-memory factor bit for
 # bit under every distribution (private node stores enforced by the
 # race detector), and a distributed CLI run must print its measured
-# comm volume next to the simulator's prediction.
+# comm volume next to the simulator's prediction and export its comm
+# spans beside one span per executed task.
 go test -race -run 'TestDistributedMatchesSharedMemory' ./internal/core
-dist_out="$(go run ./cmd/tlrchol -n 1024 -b 128 -verify=false -nodes 4 -dist diamond)"
+dist_trace="$(mktemp /tmp/tlrchol-dist-trace.XXXXXX.json)"
+tmp_files+=("$dist_trace")
+dist_out="$(go run ./cmd/tlrchol -n 1024 -b 128 -verify=false -nodes 4 -dist diamond -trace-out "$dist_trace")"
+spans="$(trace_spans "$dist_out")"
+tasks="$(trace_tasks "$dist_out")"
+[ -n "$spans" ] && [ -n "$tasks" ] && [ "$spans" -gt "$tasks" ] || {
+    echo "check.sh: distributed trace-out exported ${spans:-no} spans for ${tasks:-no} tasks, want comm spans too" >&2
+    echo "$dist_out" >&2; exit 1; }
 echo "$dist_out" | grep -q 'measured comm volume:' || {
     echo "check.sh: distributed run printed no measured comm volume" >&2; exit 1; }
 echo "$dist_out" | grep -q 'sim prediction' || {
