@@ -1,10 +1,8 @@
 // Command lint is the thin CLI over the repo's type-checked invariant
 // analysis suite (internal/analysis). Usage:
 //
-//	go run ./cmd/lint [flags] ./...
+//	go run ./cmd/lint [-json] ./...
 //
-//	-list            enumerate analyzers and the invariant each guards
-//	-run a,b         run only the named analyzers
 //	-json            emit findings as a JSON array
 //
 // Exit codes: 0 clean, 1 findings, 2 the tree failed to load or
@@ -17,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"tlrchol/internal/analysis"
 )
@@ -29,34 +26,16 @@ func main() {
 func run(args []string, out, errOut io.Writer) int {
 	fs := flag.NewFlagSet("lint", flag.ContinueOnError)
 	fs.SetOutput(errOut)
-	list := fs.Bool("list", false, "list analyzers and exit")
-	runNames := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
 	jsonOut := fs.Bool("json", false, "emit findings as JSON")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-
-	analyzers := analysis.All()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Fprintf(out, "%-16s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-	if *runNames != "" {
-		sel, err := analysis.Select(strings.Split(*runNames, ","))
-		if err != nil {
-			fmt.Fprintf(errOut, "lint: %v\n", err)
-			return 2
-		}
-		analyzers = sel
 	}
 
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	findings, err := analysis.Run(patterns, analyzers)
+	findings, err := analysis.Run(patterns, analysis.All())
 	if err != nil {
 		fmt.Fprintf(errOut, "lint: %v\n", err)
 		return 2

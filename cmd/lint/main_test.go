@@ -7,32 +7,16 @@ import (
 	"testing"
 )
 
-const syncvalFixture = "../../internal/analysis/testdata/src/syncval"
-
-func TestListFlag(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
-		t.Fatalf("-list exited %d: %s", code, errOut.String())
-	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 9 {
-		t.Fatalf("-list printed %d analyzers, want 9:\n%s", len(lines), out.String())
-	}
-	for _, want := range []string{"pairing", "lock-scope", "determinism", "ctx-flow"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("-list output missing analyzer %q", want)
-		}
-	}
-}
+const pairingFixture = "../../internal/analysis/testdata/src/pairing"
 
 func TestFindingsExitOne(t *testing.T) {
 	var out, errOut bytes.Buffer
-	code := run([]string{syncvalFixture}, &out, &errOut)
+	code := run([]string{pairingFixture}, &out, &errOut)
 	if code != 1 {
 		t.Fatalf("fixture run exited %d, want 1: %s%s", code, out.String(), errOut.String())
 	}
-	if !strings.Contains(out.String(), "[sync-by-value]") {
-		t.Errorf("output missing [sync-by-value] findings:\n%s", out.String())
+	if !strings.Contains(out.String(), "[pairing]") {
+		t.Errorf("output missing [pairing] findings:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "finding(s)") {
 		t.Errorf("output missing summary line:\n%s", out.String())
@@ -46,22 +30,9 @@ func TestLoadErrorExitTwo(t *testing.T) {
 	}
 }
 
-func TestRunFlag(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-run", "nonesuch", "."}, &out, &errOut); code != 2 {
-		t.Fatalf("-run nonesuch exited %d, want 2", code)
-	}
-	out.Reset()
-	errOut.Reset()
-	// determinism has nothing to say about the syncval fixture.
-	if code := run([]string{"-run", "determinism", syncvalFixture}, &out, &errOut); code != 0 {
-		t.Fatalf("-run determinism on syncval exited %d, want 0: %s%s", code, out.String(), errOut.String())
-	}
-}
-
 func TestJSONFlag(t *testing.T) {
 	var out, errOut bytes.Buffer
-	code := run([]string{"-json", syncvalFixture}, &out, &errOut)
+	code := run([]string{"-json", pairingFixture}, &out, &errOut)
 	if code != 1 {
 		t.Fatalf("-json fixture run exited %d, want 1: %s", code, errOut.String())
 	}
@@ -78,7 +49,7 @@ func TestJSONFlag(t *testing.T) {
 		t.Fatal("-json output empty despite exit 1")
 	}
 	for _, f := range findings {
-		if f.Analyzer != "sync-by-value" || f.Line == 0 || f.File == "" {
+		if f.Analyzer != "pairing" || f.Line == 0 || f.File == "" {
 			t.Errorf("malformed JSON finding: %+v", f)
 		}
 	}

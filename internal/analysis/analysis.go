@@ -7,8 +7,8 @@
 // The design deliberately mirrors golang.org/x/tools/go/analysis in
 // shape (Analyzer / Pass / Reportf) without importing it: the repo has
 // a zero-dependency policy, and the subset needed here — one module,
-// nine analyzers, flow-sensitive checks over function bodies — fits in
-// a few hundred lines on top of go/ast and go/types.
+// a handful of analyzers, flow-sensitive checks over function bodies —
+// fits in a few hundred lines on top of go/ast and go/types.
 package analysis
 
 import (
@@ -22,12 +22,8 @@ import (
 // Analyzer is one pluggable pass. Run inspects a single type-checked
 // package and reports findings through the Pass.
 type Analyzer struct {
-	// Name is the identifier used by -run, //lint:ignore and the
-	// [name] tag in findings. Lower-case, hyphenated.
+	// Name is the [name] tag in findings. Lower-case, hyphenated.
 	Name string
-	// Doc is a one-line statement of the invariant the analyzer
-	// guards, shown by cmd/lint -list.
-	Doc string
 	// Run inspects pass.Pkg and calls pass.Reportf for each violation.
 	Run func(pass *Pass)
 }
@@ -83,9 +79,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 // TypeOf returns the type of e, or nil if not recorded.
 func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Pkg.Info.TypeOf(e) }
 
-// ObjectOf returns the object an identifier denotes (uses or defs).
-func (p *Pass) ObjectOf(id *ast.Ident) types.Object { return p.Pkg.Info.ObjectOf(id) }
-
 // Func is one function body in a package: a declaration or a function
 // literal, with enough context to label findings.
 type Func struct {
@@ -98,21 +91,18 @@ type Func struct {
 	// assembly-backed declarations).
 	Type *ast.FuncType
 	Body *ast.BlockStmt
-	// File is the enclosing file (for directive lookup).
-	File *ast.File
 }
 
 // ForEachFunc visits every function declaration and function literal
 // in the package, outermost first.
 func (p *Pass) ForEachFunc(visit func(fn *Func)) {
 	for _, file := range p.Pkg.Files {
-		f := file
-		ast.Inspect(f, func(n ast.Node) bool {
+		ast.Inspect(file, func(n ast.Node) bool {
 			switch d := n.(type) {
 			case *ast.FuncDecl:
-				visit(&Func{Name: funcDeclName(d), Decl: d, Type: d.Type, Body: d.Body, File: f})
+				visit(&Func{Name: funcDeclName(d), Decl: d, Type: d.Type, Body: d.Body})
 			case *ast.FuncLit:
-				visit(&Func{Name: "func literal", Lit: d, Type: d.Type, Body: d.Body, File: f})
+				visit(&Func{Name: "func literal", Lit: d, Type: d.Type, Body: d.Body})
 			}
 			return true
 		})
@@ -150,26 +140,6 @@ func isNamedType(t types.Type, path, name string) bool {
 	return obj.Pkg() != nil && obj.Pkg().Path() == path
 }
 
-// namedTypeIn reports whether t (pointer-stripped) is a named type of
-// package path, returning its name.
-func namedTypeIn(t types.Type, path string) (string, bool) {
-	if t == nil {
-		return "", false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return "", false
-	}
-	obj := n.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != path {
-		return "", false
-	}
-	return obj.Name(), true
-}
-
 // calleeOf resolves a call expression to the static callee object, or
 // nil for dynamic calls (function values, interface methods resolve to
 // the interface method object).
@@ -205,15 +175,6 @@ func calleeName(obj types.Object) string {
 // equal. Parens are stripped.
 func exprKey(e ast.Expr) string {
 	return types.ExprString(ast.Unparen(e))
-}
-
-// receiverOf returns the receiver expression of a method call
-// (x in x.M(...)), or nil.
-func receiverOf(call *ast.CallExpr) ast.Expr {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		return sel.X
-	}
-	return nil
 }
 
 // methodOn reports whether call is a method call named method on a

@@ -17,14 +17,7 @@ func packageFromSource(t *testing.T, src string) *Package {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Implicits:  make(map[ast.Node]types.Object),
-	}
+	info := newInfo()
 	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
 	tpkg, err := conf.Check("p", fset, []*ast.File{f}, info)
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 // holding a node lock is the distributed-deadlock shape).
 var ChanProtocolAnalyzer = &Analyzer{
 	Name: "chan-protocol",
-	Doc:  "cluster inboxes are buffered channels and never sent to under a lock",
 	Run:  runChanProtocol,
 }
 

@@ -20,7 +20,6 @@ import (
 //     assigned later in the function.
 var CtxFlowAnalyzer = &Analyzer{
 	Name: "ctx-flow",
-	Doc:  "functions taking context.Context thread it into ctx-aware callees",
 	Run:  runCtxFlow,
 }
 

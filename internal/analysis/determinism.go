@@ -24,7 +24,6 @@ import (
 // collect-then-sort idiom.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
-	Doc:  "map iteration order cannot reach exported results, traces, or messages",
 	Run:  runDeterminism,
 }
 

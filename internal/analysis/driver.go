@@ -6,18 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 )
 
 // Run loads the packages matching patterns and runs every analyzer
-// over each, applying //lint:ignore suppression and auditing unused
-// directives. Findings come back sorted and deduplicated, with file
+// over each. Findings come back sorted and deduplicated, with file
 // paths relative to the working directory. A non-nil error of type
 // *LoadError means the tree failed to parse or type-check.
-//
-// Loading is sequential (the source importer caches shared
-// dependencies); the analyzer passes then run concurrently, one
-// goroutine per package, sharing the immutable type-checked program.
 func Run(patterns []string, analyzers []*Analyzer) ([]Finding, error) {
 	loader := NewLoader()
 	pkgs, err := loader.Load(patterns)
@@ -27,27 +21,21 @@ func Run(patterns []string, analyzers []*Analyzer) ([]Finding, error) {
 	return RunPackages(pkgs, analyzers), nil
 }
 
-// RunPackages runs the analyzers over already-loaded packages.
+// RunPackages runs the analyzers over already-loaded packages, one
+// package after another: loading from source dominates a run, so the
+// passes gain nothing from running concurrently.
 func RunPackages(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	known := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		known[a.Name] = true
-	}
-
-	var mu sync.Mutex
 	var all []Finding
-	var wg sync.WaitGroup
 	for _, pkg := range pkgs {
-		wg.Add(1)
-		go func(pkg *Package) {
-			defer wg.Done()
-			fs := runPackage(pkg, analyzers, known)
-			mu.Lock()
-			all = append(all, fs...)
-			mu.Unlock()
-		}(pkg)
+		for _, a := range analyzers {
+			pass := &Pass{
+				Analyzer: a,
+				Pkg:      pkg,
+				report:   func(f Finding) { all = append(all, f) },
+			}
+			a.Run(pass)
+		}
 	}
-	wg.Wait()
 
 	all = relativize(all)
 	sort.Slice(all, func(i, j int) bool { return all[i].less(all[j]) })
@@ -60,48 +48,6 @@ func RunPackages(pkgs []*Package, analyzers []*Analyzer) []Finding {
 		}
 	}
 	return out
-}
-
-func runPackage(pkg *Package, analyzers []*Analyzer, known map[string]bool) []Finding {
-	var fs []Finding
-	report := func(f Finding) { fs = append(fs, f) }
-
-	directives := parseDirectives(pkg, known, report)
-
-	var raw []Finding
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer: a,
-			Pkg:      pkg,
-			report:   func(f Finding) { raw = append(raw, f) },
-		}
-		a.Run(pass)
-	}
-
-	// Apply suppression, marking directives that fire.
-	for _, f := range raw {
-		suppressed := false
-		for _, d := range directives {
-			if d.suppresses(f) {
-				d.used = true
-				suppressed = true
-			}
-		}
-		if !suppressed {
-			fs = append(fs, f)
-		}
-	}
-
-	// Audit: a directive whose analyzer ran and suppressed nothing is
-	// stale and is itself a finding. Directives for analyzers that did
-	// not run this invocation (cmd/lint -run) are left alone.
-	for _, d := range directives {
-		if !d.used && known[d.analyzer] {
-			fs = append(fs, Finding{Pos: d.pos, Analyzer: auditName,
-				Message: "unused //lint:ignore directive for " + d.analyzer})
-		}
-	}
-	return fs
 }
 
 // relativize rewrites finding paths relative to the working directory

@@ -70,10 +70,7 @@ func TestFixtures(t *testing.T) {
 		{"chanprotocol", ChanProtocolAnalyzer},
 		{"determinism", DeterminismAnalyzer},
 		{"ctxflow", CtxFlowAnalyzer},
-		{"syncval", SyncByValueAnalyzer},
 		{"addgo", AddInGoroutineAnalyzer},
-		{"loopcapture", LoopCaptureAnalyzer},
-		{"unjoined", UnjoinedGoAnalyzer},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {

@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-)
+import "go/ast"
 
 // AddInGoroutineAnalyzer ports PR 1's add-in-goroutine heuristic with
 // type resolution: wg.Add called inside the goroutine it accounts for
@@ -14,7 +10,6 @@ import (
 // fields.
 var AddInGoroutineAnalyzer = &Analyzer{
 	Name: "add-in-goroutine",
-	Doc:  "WaitGroup.Add happens before the go statement, not inside the goroutine",
 	Run:  runAddInGoroutine,
 }
 
@@ -44,119 +39,4 @@ func runAddInGoroutine(pass *Pass) {
 			return true
 		})
 	}
-}
-
-// LoopCaptureAnalyzer ports PR 1's loop-capture heuristic. Go 1.22
-// made loop variables per-iteration, so the classic capture bug cannot
-// bite under this module's go directive — the check stays as a
-// portability guard (the pattern silently regresses under older
-// toolchains and is still a smell reviewers trip over). Object
-// identity replaces the old shadow-tracking: a `v := v` rebind creates
-// a new object, so shadowed captures no longer false-positive.
-var LoopCaptureAnalyzer = &Analyzer{
-	Name: "loop-capture",
-	Doc:  "goroutines do not capture loop variables (portability guard; per-iteration since go 1.22)",
-	Run:  runLoopCapture,
-}
-
-func runLoopCapture(pass *Pass) {
-	info := pass.Pkg.Info
-	for _, file := range pass.Pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			var vars []*ast.Ident
-			var body *ast.BlockStmt
-			switch l := n.(type) {
-			case *ast.RangeStmt:
-				for _, e := range []ast.Expr{l.Key, l.Value} {
-					if id, ok := e.(*ast.Ident); ok && id.Name != "_" && info.Defs[id] != nil {
-						vars = append(vars, id)
-					}
-				}
-				body = l.Body
-			case *ast.ForStmt:
-				if init, ok := l.Init.(*ast.AssignStmt); ok && init.Tok == token.DEFINE {
-					for _, e := range init.Lhs {
-						if id, ok := e.(*ast.Ident); ok && id.Name != "_" && info.Defs[id] != nil {
-							vars = append(vars, id)
-						}
-					}
-				}
-				body = l.Body
-			default:
-				return true
-			}
-			if len(vars) == 0 {
-				return true
-			}
-			ast.Inspect(body, func(m ast.Node) bool {
-				g, ok := m.(*ast.GoStmt)
-				if !ok {
-					return true
-				}
-				lit, ok := g.Call.Fun.(*ast.FuncLit)
-				if !ok {
-					return true
-				}
-				for _, v := range vars {
-					if usesObject(info, lit.Body, info.Defs[v]) {
-						pass.Reportf(g.Pos(),
-							"goroutine captures loop variable %s (per-iteration under go >= 1.22; pass it as an argument for portability)",
-							v.Name)
-					}
-				}
-				return true
-			})
-			return true
-		})
-	}
-}
-
-// UnjoinedGoAnalyzer ports PR 1's unjoined-go heuristic: a library
-// function that launches goroutines and returns without any join
-// construct (Wait, channel receive, select, range over a channel)
-// leaks work past its return. main packages are exempt — process
-// lifetime is the join there.
-var UnjoinedGoAnalyzer = &Analyzer{
-	Name: "unjoined-go",
-	Doc:  "library functions join the goroutines they launch",
-	Run:  runUnjoinedGo,
-}
-
-func runUnjoinedGo(pass *Pass) {
-	if pass.Pkg.Types != nil && pass.Pkg.Types.Name() == "main" {
-		return
-	}
-	pass.ForEachFunc(func(fn *Func) {
-		if fn.Body == nil || fn.Lit != nil {
-			return
-		}
-		var gos []*ast.GoStmt
-		joins := false
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.GoStmt:
-				gos = append(gos, n)
-			case *ast.SelectStmt:
-				joins = true
-			case *ast.UnaryExpr:
-				if n.Op == token.ARROW {
-					joins = true
-				}
-			case *ast.RangeStmt:
-				if _, isChan := typeUnder(pass.TypeOf(n.X)).(*types.Chan); isChan {
-					joins = true
-				}
-			case *ast.CallExpr:
-				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {
-					joins = true
-				}
-			}
-			return true
-		})
-		if len(gos) > 0 && !joins {
-			pass.Reportf(gos[0].Pos(),
-				"%s launches %d goroutine(s) and returns without any join (Wait, receive, or select)",
-				fn.Name, len(gos))
-		}
-	})
 }

@@ -28,8 +28,7 @@ type Package struct {
 	Info  *types.Info
 
 	// cfgs lazily caches per-function control-flow graphs so the flow-
-	// sensitive analyzers share one CFG per body. Each package is
-	// analyzed by a single goroutine, so no locking.
+	// sensitive analyzers share one CFG per body.
 	cfgs map[*ast.BlockStmt]*CFG
 }
 
@@ -145,14 +144,7 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 		return nil, nil
 	}
 
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Implicits:  make(map[ast.Node]types.Object),
-	}
+	info := newInfo()
 	conf := types.Config{
 		Importer: l.imp,
 		Error:    func(err error) { errs = append(errs, err) },
@@ -169,6 +161,19 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 		Types: tpkg,
 		Info:  info,
 	}, nil
+}
+
+// newInfo returns a types.Info that records everything the analyzers
+// read.
+func newInfo() *types.Info {
+	return &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Scopes:     make(map[ast.Node]*types.Scope),
+		Implicits:  make(map[ast.Node]types.Object),
+	}
 }
 
 // modulePathOf computes the import path of dir by locating the

@@ -17,7 +17,6 @@ import (
 // that is the one sanctioned way to block under a lock.
 var LockScopeAnalyzer = &Analyzer{
 	Name: "lock-scope",
-	Doc:  "no blocking operation (chan op, Wait, I/O, core.Factorize) while a mutex is held",
 	Run:  runLockScope,
 }
 

@@ -14,7 +14,6 @@ import (
 // ownership transfer and closes the obligation at that point.
 var PairingAnalyzer = &Analyzer{
 	Name: "pairing",
-	Doc:  "pooled resources (dense.Workspace, sync.Pool) released on all paths, panics included",
 	Run:  runPairing,
 }
 

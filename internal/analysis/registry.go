@@ -1,10 +1,6 @@
 package analysis
 
-import "fmt"
-
-// All returns every analyzer in the suite, in the stable order used by
-// cmd/lint -list. Five guard invariants introduced by PRs 2–5; four
-// are PR 1's AST heuristics re-based on type information.
+// All returns every analyzer in the suite, in a stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		PairingAnalyzer,
@@ -12,26 +8,6 @@ func All() []*Analyzer {
 		ChanProtocolAnalyzer,
 		DeterminismAnalyzer,
 		CtxFlowAnalyzer,
-		SyncByValueAnalyzer,
 		AddInGoroutineAnalyzer,
-		LoopCaptureAnalyzer,
-		UnjoinedGoAnalyzer,
 	}
-}
-
-// Select resolves a comma-separated analyzer name list against All.
-func Select(names []string) ([]*Analyzer, error) {
-	byName := map[string]*Analyzer{}
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, n := range names {
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q (see -list)", n)
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }

@@ -426,7 +426,8 @@ func Run(g *runtime.Graph, writes func(id int) TileID, exec func(id int, c *Ctx)
 		for _, c := range n.comm {
 			st.Trace = append(st.Trace, runtime.TaskRecord{
 				Label:  fmt.Sprintf("%s(%d,%d)", msgKindNames[c.kind], c.id.M, c.id.N),
-				Worker: P*W + i, Start: c.start, Duration: c.dur, ReadyPop: -1, ReadyEnd: -1})
+				Worker: P*W + i, Start: c.start, Duration: c.dur, ReadyPop: -1, ReadyEnd: -1,
+				Comm: true, Node: int32(i)})
 		}
 	}
 	e.errMu.Lock()

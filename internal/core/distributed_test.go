@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -168,13 +169,18 @@ func TestDistributedTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var compute, msgs int
+	commNodes := make([]bool, nodes)
 	for _, r := range rep.Cluster.Trace {
 		if r.Worker >= nodes*workers {
 			msgs++
-			if r.Worker >= nodes*workers+nodes || r.Info != nil {
+			if r.Worker >= nodes*workers+nodes || r.Info != nil || !r.Comm || int(r.Node) != r.Worker-nodes*workers {
 				t.Fatalf("comm record %+v off the comm tracks", r)
 			}
+			commNodes[r.Node] = true
 			continue
+		}
+		if r.Comm {
+			t.Fatalf("compute record %s marked as comm", r.Label)
 		}
 		compute++
 		if r.Info == nil {
@@ -191,9 +197,31 @@ func TestDistributedTrace(t *testing.T) {
 	if recv := rep.Cluster.Comm.Totals().MsgsRecv; msgs == 0 || uint64(msgs) != recv {
 		t.Fatalf("%d comm records for %d received messages", msgs, recv)
 	}
+	// Every view names a comm track after its node and counts only the
+	// P·W worker tracks as workers.
+	events := runtime.Events(rep.Cluster.Trace)
+	sum := obs.Summarize(events)
+	if sum.Workers != nodes*workers {
+		t.Fatalf("summary counts %d workers, want %d", sum.Workers, nodes*workers)
+	}
 	var buf bytes.Buffer
-	if err := obs.WriteChromeTrace(&buf, runtime.Events(rep.Cluster.Trace), nil); err != nil {
+	if err := obs.WriteChromeTrace(&buf, events, nil); err != nil {
 		t.Fatal(err)
+	}
+	gantt := obs.Gantt(events, 100)
+	for _, v := range []struct{ name, text, worker string }{
+		{"summary", sum.String(), "worker %d"},
+		{"gantt", gantt, "w%d "},
+		{"chrome", buf.String(), "worker %d"},
+	} {
+		for node, seen := range commNodes {
+			if want := fmt.Sprintf("node %d comm", node); seen && !strings.Contains(v.text, want) {
+				t.Errorf("%s view lacks %q:\n%s", v.name, want, v.text)
+			}
+		}
+		if bad := fmt.Sprintf(v.worker, nodes*workers); strings.Contains(v.text, bad) {
+			t.Errorf("%s view labels a comm track %q:\n%s", v.name, bad, v.text)
+		}
 	}
 	tc, err := obs.ValidateChromeTrace(buf.Bytes())
 	if err != nil {

@@ -74,7 +74,7 @@ func WriteChromeTrace(w io.Writer, events []Event, meta map[string]any) error {
 	for _, e := range evs {
 		switch {
 		case e.Worker >= 0:
-			addThread(int(e.Worker), fmt.Sprintf("worker %d", e.Worker))
+			addThread(int(e.Worker), trackName(e))
 		case e.Kind != KindCounter:
 			// Spans without a worker (request phases) share one named
 			// track; counters render as counter tracks and need no

@@ -71,6 +71,20 @@ type Event struct {
 	// Info holds kernel annotations when HasInfo is set.
 	Info    SpanInfo
 	HasInfo bool
+	// Comm marks a span on a virtual-cluster node's comm engine rather
+	// than a worker; Node is that node. A cluster numbers node n's comm
+	// track Workers+n, after all of its worker tracks.
+	Comm bool
+	Node int32
+}
+
+// trackName labels a span's track in every view: "node N comm" for a
+// cluster node's comm engine, "worker N" otherwise.
+func trackName(e Event) string {
+	if e.Comm {
+		return fmt.Sprintf("node %d comm", e.Node)
+	}
+	return fmt.Sprintf("worker %d", e.Worker)
 }
 
 // ClassOf extracts the task class from a label: "gemm(3,5,1)" → "gemm",
@@ -94,9 +108,13 @@ type ClassStat struct {
 // one event stream.
 type Summary struct {
 	Makespan time.Duration
-	Workers  int
-	// Utilization is per-track busy fraction of the makespan.
+	// Workers counts the worker tracks; a cluster's comm tracks follow
+	// them and are not counted.
+	Workers int
+	// Utilization is per-track busy fraction of the makespan, and
+	// Tracks labels each track, both indexed by track.
 	Utilization []float64
+	Tracks      []string
 	Classes     []ClassStat
 }
 
@@ -126,13 +144,21 @@ func Summarize(events []Event) Summary {
 		cs.Max = max(cs.Max, e.Dur)
 	}
 	s.Workers = maxW + 1
-	busy := make([]time.Duration, s.Workers)
+	busy := make([]time.Duration, maxW+1)
+	s.Tracks = make([]string, maxW+1)
+	for w := range s.Tracks {
+		s.Tracks[w] = trackName(Event{Worker: int32(w)})
+	}
 	for _, e := range events {
 		if e.Kind == KindSpan && e.Worker >= 0 {
 			busy[e.Worker] += e.Dur
+			if e.Comm {
+				s.Tracks[e.Worker] = trackName(e)
+				s.Workers = min(s.Workers, int(e.Worker-e.Node))
+			}
 		}
 	}
-	s.Utilization = make([]float64, s.Workers)
+	s.Utilization = make([]float64, maxW+1)
 	for w := range s.Utilization {
 		if s.Makespan > 0 {
 			s.Utilization[w] = float64(busy[w]) / float64(s.Makespan)
@@ -156,7 +182,7 @@ func (s Summary) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "makespan %v, %d workers\n", s.Makespan.Round(time.Microsecond), s.Workers)
 	for w, u := range s.Utilization {
-		fmt.Fprintf(&sb, "  worker %d: %5.1f%% busy\n", w, 100*u)
+		fmt.Fprintf(&sb, "  %s: %5.1f%% busy\n", s.Tracks[w], 100*u)
 	}
 	for _, c := range s.Classes {
 		fmt.Fprintf(&sb, "  %-8s %6d tasks  total %v  max %v\n",
@@ -189,12 +215,17 @@ func Gantt(events []Event, width int) string {
 		return ""
 	}
 	rows := make([][]byte, maxW+1)
+	labels := make([]string, maxW+1)
 	for i := range rows {
 		rows[i] = []byte(strings.Repeat(".", width))
+		labels[i] = fmt.Sprintf("w%d", i)
 	}
 	for _, e := range events {
 		if e.Kind != KindSpan || e.Worker < 0 {
 			continue
+		}
+		if e.Comm {
+			labels[e.Worker] = trackName(e)
 		}
 		ch := byte('?')
 		if c := ClassOf(e.Name); len(c) > 0 {
@@ -209,9 +240,13 @@ func Gantt(events []Event, width int) string {
 			rows[e.Worker][x] = ch
 		}
 	}
+	pad := 3
+	for _, l := range labels {
+		pad = max(pad, len(l))
+	}
 	var sb strings.Builder
 	for w, row := range rows {
-		fmt.Fprintf(&sb, "w%-2d |%s|\n", w, row)
+		fmt.Fprintf(&sb, "%-*s |%s|\n", pad, labels[w], row)
 	}
 	return sb.String()
 }

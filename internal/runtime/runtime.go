@@ -431,6 +431,10 @@ type TaskRecord struct {
 	// executor keeps no single ready queue (the virtual cluster, the
 	// simulator).
 	ReadyPop, ReadyEnd int32
+	// Comm marks a message on a virtual-cluster node's comm engine;
+	// Node is that node (see obs.Event).
+	Comm bool
+	Node int32
 }
 
 // Trace returns the tasks that ran in the last observed run, by id.
@@ -453,7 +457,8 @@ func (g *Graph) Trace() []TaskRecord {
 func Events(recs []TaskRecord) []obs.Event {
 	out := make([]obs.Event, 0, len(recs))
 	for _, r := range recs {
-		e := obs.Event{Kind: obs.KindSpan, Name: r.Label, Worker: int32(r.Worker), Start: r.Start, Dur: r.Duration}
+		e := obs.Event{Kind: obs.KindSpan, Name: r.Label, Worker: int32(r.Worker), Start: r.Start, Dur: r.Duration,
+			Comm: r.Comm, Node: r.Node}
 		if r.Info != nil {
 			e.Info, e.HasInfo = *r.Info, true
 		}

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # check.sh — the repo's single verification gate: build, vet, the
 # portable (purego) build and tests of the assembly-backed kernels, the
-# type-checked static analysis suite (cmd/lint, findings archived as
+# type-checked static analysis suite (cmd/lint: the invariant analyzers
+# that catch what vet, -race and the tests miss; findings archived as
 # JSON), race-detector tests on the concurrency-critical packages (the
 # task executor and the compression, factorization and planned solve
 # that run on it, the static verifier's own suite, the metrics and
-# tracing layer, the virtual cluster, the solve service and the lint
-# driver itself), then the full test suite, which includes the
-# verifier self-checks in internal/verify, and finally a one-iteration
-# run of the Go micro-benchmarks so they cannot bit-rot.
+# tracing layer, the virtual cluster and the solve service), then the
+# full test suite, which includes the verifier self-checks in
+# internal/verify and the lint suite's own tests, and finally a
+# one-iteration run of the Go micro-benchmarks so they cannot bit-rot.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -69,11 +70,8 @@ go run ./cmd/lint -json ./... > "$lint_json" || {
 }
 tmp_files+=("$lint_json")
 
-echo "== race-detector tests (runtime, verify, obs, cluster, core, serve, analysis, rbf, tilemat)"
-# internal/analysis is in the race list for self-hosting: the lint
-# driver runs analyzers concurrently per package, so its own tests must
-# hold up under the detector just like the code it audits.
-go test -race ./internal/runtime ./internal/verify ./internal/obs ./internal/cluster ./internal/core ./internal/serve ./internal/analysis ./internal/rbf ./internal/tilemat
+echo "== race-detector tests (runtime, verify, obs, cluster, core, serve, rbf, tilemat)"
+go test -race ./internal/runtime ./internal/verify ./internal/obs ./internal/cluster ./internal/core ./internal/serve ./internal/rbf ./internal/tilemat
 
 echo "== point-ordering fuzz smoke"
 # The KD ordering behind rbf.NewProblem must keep its contract (a
